@@ -321,7 +321,8 @@ def _neg_word_on_extremal(alpha, exps, gamma0, coeff):
             v = act_root_vector(-alpha, e, v)
         return v
     p = bilinear(gamma0, alpha)
-    assert p.denominator == 1
+    if p.denominator != 1:
+        raise AssertionError("non-integral pairing (gamma0 | alpha)")
     g1 = FiniteWeight(1, (int(p), 0))
     a1 = simple_root(1, 1)
     v1 = FockVector(1, g1.class_index(), {fock.FockKey(g1): Fraction(1)})

@@ -78,7 +78,9 @@ def parse_config(argv):
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--r", type=int, default=1, help="rank of sl_{r+1}")
+        p.add_argument("--r", type=int, default=None,
+                       help="rank of sl_{r+1}; when omitted, inferred from "
+                            "--lambda or --gamma, else 1")
         p.add_argument("--lambda", dest="lam", type=str, default=None,
                        help="dominant weight as its sequence, e.g. 2,1,0")
         p.add_argument("--kmax", type=int, default=2,
@@ -117,11 +119,19 @@ def parse_config(argv):
     p_dump.add_argument("--k", type=int, default=0, help="shift for the vector")
 
     ns = parser.parse_args(argv)
-    lam = _parse_lambda(ns.lam, ns.r) if ns.lam is not None else None
+    r = ns.r
+    if r is None:
+        if ns.lam is not None:
+            r = len(ns.lam.split(",")) - 1
+        elif ns.gamma is not None:
+            r = len(ns.gamma.split(","))
+        else:
+            r = 1
+    lam = _parse_lambda(ns.lam, r) if ns.lam is not None else None
     return RunConfig(
         command=ns.command,
         suite=getattr(ns, "suite", None) or getattr(ns, "what", None),
-        r=ns.r, lam=lam, kmax=ns.kmax, depth=ns.depth, sector=ns.sector,
+        r=r, lam=lam, kmax=ns.kmax, depth=ns.depth, sector=ns.sector,
         gamma=ns.gamma, out=ns.out, jobs=ns.jobs,
         cocycle_table=ns.cocycle_table,
         pop_json=getattr(ns, "pop", None), k=getattr(ns, "k", 0),
@@ -131,7 +141,10 @@ def parse_config(argv):
 def _parse_gamma(text, r):
     if text is None:
         return zero_weight(r)
-    coeffs = [int(x) for x in text.split(",")]
+    try:
+        coeffs = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError("--gamma must be a comma-separated integer sequence")
     if len(coeffs) != r:
         raise UsageError("--gamma needs r simple-root coefficients")
     out = zero_weight(r)
@@ -497,7 +510,13 @@ SUITES = {
 
 
 def run(cfg):
-    """Execute the configured command; returns (exit_status, report lines)."""
+    """Execute the configured command; returns (exit_status, report lines).
+
+    The Fock model's root-action and creation-term caches are emptied first,
+    so every run starts cold, as a fresh CLI process does.
+    """
+    fock._ROOT_ACTION_CACHE.clear()
+    fock._creation_terms.cache_clear()
     lines = []
     status = 0
     if cfg.command == "enumerate":
@@ -531,7 +550,10 @@ def run(cfg):
         else:
             if cfg.pop_json is None:
                 raise UsageError("dump vector needs --pop")
-            P = POP.from_json(json.loads(cfg.pop_json))
+            try:
+                P = POP.from_json(json.loads(cfg.pop_json))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise UsageError("--pop is not a valid POP: %s" % exc)
             v = clbasis.cl_vector(P, cfg.k)
             lines.extend(v.dump_lines())
     return status, lines

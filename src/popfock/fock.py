@@ -22,24 +22,33 @@ from .translate import eps_tilde
 class FockKey:
     """Basis key: lattice point gamma in varpi_i + Q plus a creation multiset.
 
-    modes is a sorted tuple of (direction, n) pairs with repetition; the
-    energy (lattice part plus mode sum) is a nonnegative integer by
-    construction and is asserted at creation.
+    modes is a sorted tuple of (direction, n) pairs with repetition.  The
+    energy (lattice part plus mode sum) is computed once at creation from the
+    lattice representative c of gamma, whose entries sum to the sector i:
+    (sum c^2 - i) / 2 + sum n.  A key whose energy is not a nonnegative
+    integer is rejected.
     """
 
-    __slots__ = ("gamma", "modes", "sector", "_hash")
+    __slots__ = ("gamma", "modes", "sector", "_hash", "_energy")
 
     def __init__(self, gamma, modes=()):
         modes = tuple(sorted((int(a), int(n)) for a, n in modes))
         for a, n in modes:
             if not (1 <= a <= gamma.r and n >= 1):
                 raise ValueError("bad mode (%d, %d)" % (a, n))
+        lat = gamma.lattice_rep()
+        sector = sum(lat)
+        lat2 = sum(c * c for c in lat) - sector
+        if lat2 % 2:
+            raise AssertionError("non-integral energy")
+        energy = lat2 // 2 + sum(n for _, n in modes)
+        if energy < 0:
+            raise AssertionError("negative energy key")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "sector", gamma.class_index())
+        object.__setattr__(self, "sector", sector)
         object.__setattr__(self, "_hash", hash((gamma, modes)))
-        if self.energy() < 0:
-            raise AssertionError("negative energy key")
+        object.__setattr__(self, "_energy", energy)
 
     def __setattr__(self, name, value):
         raise AttributeError("FockKey is immutable")
@@ -61,13 +70,8 @@ class FockKey:
         return sum(n for _, n in self.modes)
 
     def energy(self):
-        i = self.sector
-        lat2 = bilinear(self.gamma, self.gamma) - bilinear(
-            fundamental(self.gamma.r, i), fundamental(self.gamma.r, i))
-        e = lat2 / 2 + self.mode_sum()
-        if e.denominator != 1:
-            raise AssertionError("non-integral energy")
-        return int(e)
+        """Lattice energy plus mode sum, computed at creation."""
+        return self._energy
 
     def mode_multiplicities(self):
         out = {}
@@ -84,7 +88,8 @@ class FockVector:
     def __init__(self, r, sector, terms=None):
         clean = {}
         for key, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             if key.sector != sector or key.gamma.r != r:
@@ -260,14 +265,14 @@ def _creation_terms(r, alpha_coords, degree):
     return tuple((m, c) for m, c in sorted(poly[degree].items()) if c)
 
 
-def _annihilation_terms(r, alpha, key):
+def _annihilation_terms(alpha_lat, key):
     """Expansion of the annihilation exponential against the key's modes:
     list of (kept modes tuple, coefficient, annihilated degree)."""
     pairs = []
     for (b, n), mult in sorted(key.mode_multiplicities().items()):
-        c = bilinear(alpha, simple_root(r, b))
+        c = alpha_lat[b - 1] - alpha_lat[b]  # (alpha | alpha_b)
         pairs.append(((b, n), mult, -c))
-    results = [((), Fraction(1), 0)]
+    results = [((), 1, 0)]
     for (b, n), mult, c in pairs:
         new = []
         for kept, coeff, deg in results:
@@ -292,13 +297,13 @@ def _act_root_on_key(r, alpha, s, key):
     eta = 1 if is_positive_root(alpha) else -1
     alpha_lat = alpha.lattice_rep()
     gamma_lat = key.gamma.lattice_rep()
-    p0 = bilinear(alpha, key.gamma)
-    assert p0.denominator == 1
-    base = -s - 1 - int(p0)
+    # (alpha | gamma) on lattice representatives: exact because sum(alpha) = 0
+    p0 = sum(a * g for a, g in zip(alpha_lat, gamma_lat))
+    base = -s - 1 - p0
     sign0 = eta * eps_tilde(alpha_lat, gamma_lat)
     new_gamma = key.gamma + alpha
     out = {}
-    for kept, acoef, adeg in _annihilation_terms(r, alpha, key):
+    for kept, acoef, adeg in _annihilation_terms(alpha_lat, key):
         cdeg = base + adeg
         if cdeg < 0 or acoef == 0:
             continue

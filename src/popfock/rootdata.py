@@ -157,7 +157,7 @@ def bilinear(x, y):
         raise ValueError("rank mismatch")
     n = x.r + 1
     dot = sum(a * b for a, b in zip(x.coords, y.coords))
-    return Fraction(dot) - Fraction(sum(x.coords) * sum(y.coords), n)
+    return Fraction(n * dot - sum(x.coords) * sum(y.coords), n)
 
 
 def seq_from_fundamental(r, ms):

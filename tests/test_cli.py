@@ -1,8 +1,16 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from popfock import fock
 from popfock.cli import RunConfig, UsageError, main, parse_config, run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_examples():
@@ -23,8 +31,52 @@ def test_parse_usage_errors():
     with pytest.raises(UsageError):
         parse_config(["verify", "stability", "--r", "0"])
     assert main(["enumerate", "pops", "--lambda", "1,2,0"]) == 2
+    assert main(["verify", "basis", "--r", "2", "--gamma", "x,1"]) == 2
+    assert main(["dump", "vector", "--pop", "{bad"]) == 2
     with pytest.raises(SystemExit):
         parse_config(["verify", "nosuchsuite"])
+
+
+def test_rank_inferred_from_input():
+    assert parse_config(["enumerate", "patterns", "--lambda", "2,1,0"]).r == 2
+    assert parse_config(["verify", "basis", "--gamma", "1,0,0"]).r == 3
+    assert parse_config(["verify", "identities"]).r == 1
+    with pytest.raises(UsageError):
+        parse_config(["enumerate", "pops", "--r", "1", "--lambda", "2,1,0"])
+
+
+def test_readme_examples_run():
+    readme = (ROOT / "README.md").read_text()
+    examples = [shlex.split(line)[1:] for line in readme.splitlines()
+                if line.startswith(("popfock enumerate", "popfock dump"))]
+    assert len(examples) == 5
+    for argv in examples:
+        assert main(argv) == 0, argv
+
+
+def test_run_starts_with_cold_caches():
+    small = ["verify", "brackets", "--r", "1", "--depth", "1"]
+    first = run(parse_config(small))
+    sizes = (len(fock._ROOT_ACTION_CACHE),
+             fock._creation_terms.cache_info().currsize)
+    assert sizes[0] > 0
+    assert run(parse_config(small)) == first
+    run(parse_config(["verify", "brackets", "--r", "1", "--depth", "2"]))
+    assert run(parse_config(small)) == first
+    assert (len(fock._ROOT_ACTION_CACHE),
+            fock._creation_terms.cache_info().currsize) == sizes
+
+
+def test_reports_unchanged_under_optimize():
+    # no check may hide behind an assert that python -O strips
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = ["-m", "popfock.cli", "verify", "basis", "--r", "2", "--depth", "1"]
+    plain, optimized = (
+        subprocess.run([sys.executable] + flags + argv, env=env, check=True,
+                       capture_output=True).stdout
+        for flags in ([], ["-O"]))
+    assert plain and optimized == plain
 
 
 def test_enumerate_pops_output():

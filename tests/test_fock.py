@@ -3,14 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popfock.fock import (FockKey, FockVector, act_chevalley, act_heisenberg,
                           act_root_vector, apply_poly, enumerate_keys,
                           expected_weight, graded_dim, mode_monomial, vacuum,
                           weight_of, weight_space_keys, zero_vector)
 from popfock.partitions import colored_partitions
-from popfock.rootdata import (AffineWeight, all_roots, bilinear,
-                              fundamental, simple_root, zero_weight)
+from popfock.rootdata import (AffineWeight, FiniteWeight, all_roots,
+                              bilinear, fundamental, simple_root, zero_weight)
 from popfock.cli import bracket_expected
 
 
@@ -39,6 +40,53 @@ def test_key_energy_integral_and_nonneg():
         FockKey(zero_weight(2), ((3, 1),))  # direction out of range
     with pytest.raises(ValueError):
         FockKey(zero_weight(2), ((1, 0),))  # mode degree must be positive
+
+
+def reference_energy(key):
+    """Slow path for FockKey.energy: ((gamma|gamma) - (varpi_i|varpi_i)) / 2
+    plus the mode sum, in exact rationals through bilinear."""
+    gamma = key.gamma
+    varpi = fundamental(gamma.r, gamma.class_index())
+    e = (bilinear(gamma, gamma) - bilinear(varpi, varpi)) / 2 + key.mode_sum()
+    assert e.denominator == 1
+    return int(e)
+
+
+@st.composite
+def random_keys(draw):
+    """A key of rank 1..3 built from its lattice representative c, sum c = i."""
+    r = draw(st.integers(1, 3))
+    i = draw(st.integers(0, r))
+    head = draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r))
+    lat = tuple(head) + (i - sum(head),)
+    modes = draw(st.lists(st.tuples(st.integers(1, r), st.integers(1, 4)),
+                          max_size=4))
+    gamma = FiniteWeight(r, lat)
+    assert gamma.lattice_rep() == lat
+    return FockKey(gamma, modes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_keys())
+def test_energy_matches_fraction_reference(key):
+    assert key.sector == key.gamma.class_index()
+    assert key.energy() == reference_energy(key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.integers(-5, 5), min_size=r + 1, max_size=r + 1))))
+def test_integer_pairings_match_bilinear(r_coords):
+    # the root action pairs on lattice representatives: (alpha|gamma) as a
+    # plain dot product, (alpha|alpha_b) as a difference of two entries
+    r, coords = r_coords
+    gamma = FiniteWeight(r, coords)
+    g = gamma.lattice_rep()
+    for alpha in all_roots(r):
+        a = alpha.lattice_rep()
+        assert sum(x * y for x, y in zip(a, g)) == bilinear(alpha, gamma)
+        for b in range(1, r + 1):
+            assert a[b - 1] - a[b] == bilinear(alpha, simple_root(r, b))
 
 
 def test_highest_weight_relations():
