@@ -11,6 +11,7 @@ fails at k = 2, so the plain-product reading is untenable.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import factorial
 
 from . import fock, translate
@@ -18,10 +19,10 @@ from .fock import (FockVector, act_root_vector, expected_weight, vacuum,
                    weight_of, zero_vector)
 from .partitions import colored_partitions, fits_rectangle
 from .pop import depth, depth_total, enumerate_pops, is_stable
-from .rootdata import (AffineWeight, FiniteWeight, bilinear, fundamental,
-                       pos_root, residue_class, seq_from_fundamental,
-                       simple_root, theta, weight_from_seq, weight_in_irrep,
-                       zero_weight)
+from .rootdata import (AffineWeight, FiniteWeight, bilinear, dominant_seqs,
+                       fundamental, pos_root, residue_class,
+                       seq_from_fundamental, simple_root, theta,
+                       weight_from_seq, weight_in_irrep, zero_weight)
 from .translate import Cocycle, translate_Q
 
 
@@ -148,25 +149,30 @@ def cl_vector(P, k=0):
 # ---------------------------------------------------------------------------
 # exact sparse linear algebra over the rationals
 
+def _reduce(row, pivots):
+    """Eliminates pivot keys from row, smallest key first, until its smallest
+    key has no pivot; returns (that key, the reduced row), or (None, {})."""
+    row = {k: v for k, v in row.items() if v}
+    while row:
+        k0 = min(row, key=lambda k: k.sort_key())
+        piv = pivots.get(k0)
+        if piv is None:
+            return k0, row
+        f = row[k0]
+        for k, v in piv.items():
+            row[k] = row.get(k, 0) - f * v
+        row = {k: v for k, v in row.items() if v}
+    return None, row
+
+
 def _echelon(rows):
     """Row echelon over Fraction; returns pivot dict key -> reduced row."""
     pivots = {}
     for row in rows:
-        row = dict(row)
-        while row:
-            k0 = min(row, key=lambda k: k.sort_key())
-            if row[k0] == 0:
-                del row[k0]
-                continue
-            piv = pivots.get(k0)
-            if piv is None:
-                c = row[k0]
-                pivots[k0] = {k: v / c for k, v in row.items() if v}
-                break
-            f = row[k0]
-            for k, v in piv.items():
-                row[k] = row.get(k, 0) - f * v
-            row = {k: v for k, v in row.items() if v}
+        k0, row = _reduce(row, pivots)
+        if k0 is not None:
+            c = row[k0]
+            pivots[k0] = {k: v / c for k, v in row.items()}
     return pivots
 
 
@@ -176,20 +182,7 @@ def rank_of(vectors):
 
 def in_span(vectors, target):
     pivots = _echelon([v.terms for v in vectors])
-    row = dict(target.terms)
-    while row:
-        k0 = min(row, key=lambda k: k.sort_key())
-        if row[k0] == 0:
-            del row[k0]
-            continue
-        piv = pivots.get(k0)
-        if piv is None:
-            return False
-        f = row[k0]
-        for k, v in piv.items():
-            row[k] = row.get(k, 0) - f * v
-        row = {k: v for k, v in row.items() if v}
-    return True
+    return _reduce(target.terms, pivots)[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -525,24 +518,9 @@ def weyl_span(lam, steps=1):
 
 def _candidate_lambdas(r, i):
     """Dominant weights with residue class i, by total then lex sequence."""
-    total = i if i else r + 1
-    if i == 0:
-        yield zero_weight(r)
-    while True:
-        seqs = []
-
-        def rec(prefix, remaining, cap):
-            if len(prefix) == r:
-                if remaining == 0:
-                    seqs.append(tuple(prefix) + (0,))
-                return
-            for v in range(min(cap, remaining), -1, -1):
-                rec(prefix + [v], remaining - v, v)
-
-        rec([], total, total)
-        for seq in sorted(seqs):
+    for total in count(i, r + 1):
+        for seq in dominant_seqs(r, total):
             yield weight_from_seq(seq)
-        total += r + 1
 
 
 def stable_basis(i, gamma, d):

@@ -2,8 +2,8 @@
 suites; reports as JSON lines, exit 0 iff every check passes.
 
 Each invocation runs at one rank (--r); the report stream is deterministic
-for a fixed configuration.  --jobs is validated and reserved; checks are
-independent but currently run sequentially in input order.
+for a fixed configuration.  The verification suites are the one definition of
+the acceptance criteria: the acceptance tests run them with their defaults.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import json
 import sys
 from fractions import Fraction
 
-from . import clbasis, fock, gtpattern, pop, translate
+from . import clbasis, fock, gtpattern, pop
 from .partitions import colored_partitions
 from .pop import POP, enumerate_pops, is_stable, depth_total
-from .rootdata import (FiniteWeight, all_roots, bilinear, fundamental,
-                       seq_from_fundamental, simple_root, theta,
-                       weight_from_seq, zero_weight)
-from .translate import Cocycle
+from .rootdata import (FiniteWeight, all_roots, bilinear, dominant_seqs,
+                       fundamental, simple_root, theta, weight_from_seq,
+                       zero_weight)
+from .translate import (Cocycle, translate_fundamental, translate_general,
+                        translate_general_inverse, translate_Q)
 
 
 class UsageError(Exception):
@@ -44,14 +45,12 @@ class RunConfig:
     """Validated run configuration for one CLI invocation."""
 
     def __init__(self, command, suite=None, r=1, lam=None, kmax=2, depth=None,
-                 sector=None, gamma=None, out=None, jobs=1,
-                 cocycle_table=False, pop_json=None, k=0, m=0):
+                 sector=None, gamma=None, out=None, cocycle_table=False,
+                 pop_json=None, k=0, m=0):
         if r < 1:
             raise UsageError("--r must be at least 1")
         if kmax < 0 or (depth is not None and depth < 0):
             raise UsageError("bounds must be nonnegative")
-        if jobs < 1:
-            raise UsageError("--jobs must be at least 1")
         if sector is not None and not 0 <= sector <= r:
             raise UsageError("--sector out of range")
         self.command = command
@@ -63,7 +62,6 @@ class RunConfig:
         self.sector = sector
         self.gamma = gamma
         self.out = out
-        self.jobs = jobs
         self.cocycle_table = cocycle_table
         self.pop_json = pop_json
         self.k = k
@@ -94,8 +92,6 @@ def parse_config(argv):
                             "simple-root coefficients")
         p.add_argument("--out", type=str, default=None,
                        help="write the report to a file")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="reserved; checks run sequentially")
         p.add_argument("--cocycle-table", action="store_true",
                        help="append the sign table to the report")
 
@@ -132,8 +128,7 @@ def parse_config(argv):
         command=ns.command,
         suite=getattr(ns, "suite", None) or getattr(ns, "what", None),
         r=r, lam=lam, kmax=ns.kmax, depth=ns.depth, sector=ns.sector,
-        gamma=ns.gamma, out=ns.out, jobs=ns.jobs,
-        cocycle_table=ns.cocycle_table,
+        gamma=ns.gamma, out=ns.out, cocycle_table=ns.cocycle_table,
         pop_json=getattr(ns, "pop", None), k=getattr(ns, "k", 0),
         m=getattr(ns, "m", 0))
 
@@ -153,33 +148,25 @@ def _parse_gamma(text, r):
     return out
 
 
-def dominant_seqs(r, max_total):
-    """All dominant sequences (weakly decreasing, last entry 0), sum bounded."""
-    seqs = []
-
-    def rec(prefix, remaining, cap):
-        if len(prefix) == r:
-            seqs.append(tuple(prefix) + (0,))
-            return
-        for v in range(min(cap, remaining), -1, -1):
-            rec(prefix + [v], remaining - v, v)
-
-    for total in range(max_total + 1):
-        rec([], total, total)
-    return sorted(set(seqs))
+def _default_lambdas(r):
+    """The dominant weights 0, varpi_1, 2 varpi_1, varpi_1 + varpi_r as
+    sequences, duplicates removed."""
+    w1, wr = fundamental(r, 1), fundamental(r, r)
+    seqs = [w.coords for w in (zero_weight(r), w1, 2 * w1, w1 + wr)]
+    return list(dict.fromkeys(seqs))
 
 
 def _lambda_set(cfg):
-    r = cfg.r
-    if cfg.lam:
-        return [cfg.lam]
-    if r == 1:
-        return [(0, 0), (1, 0), (2, 0)]
-    one_one = [0] * r
-    one_one[0] = 1
-    one_one[-1] = 1
-    return [(0,) * (r + 1), (1,) + (0,) * r,
-            seq_from_fundamental(r, one_one)]
+    return [cfg.lam] if cfg.lam else _default_lambdas(cfg.r)
+
+
+def _stable_pops(cfg):
+    """Stable POPs of depth at most --depth (default 3) over the lambda set."""
+    depth_bound = cfg.depth if cfg.depth is not None else 3
+    for seq in _lambda_set(cfg):
+        for P in enumerate_pops(seq):
+            if is_stable(P) and depth_total(P) <= depth_bound:
+                yield P
 
 
 # --------------------------- suites ---------------------------------------
@@ -188,7 +175,8 @@ def suite_identities(cfg):
     """Area identity plus the depth and invariant-set recursions, every POP."""
     reports = []
     r = cfg.r
-    seqs = [cfg.lam] if cfg.lam else dominant_seqs(r, 4)
+    seqs = [cfg.lam] if cfg.lam else sorted(
+        seq for total in range(5) for seq in dominant_seqs(r, total))
     for seq in seqs:
         n_checked = 0
         ok = True
@@ -356,75 +344,100 @@ def suite_brackets(cfg):
     return reports
 
 
-def suite_translate(cfg):
-    reports = []
-    r = cfg.r
+def _translate_failures(r):
+    """Witnesses of the translation laws that fail at rank r, in check order:
+    inverses, composition constants, conjugation of root vectors and of the
+    Heisenberg modes, the sector-changing operators, and the composites."""
     coc = Cocycle(r)
-    keys = fock.enumerate_keys(r, 0, 2)
-    vecs = [fock.FockVector(r, 0, {k: Fraction(1)}) for k in keys]
+    vecs = [fock.FockVector(r, 0, {k: Fraction(1)})
+            for k in fock.enumerate_keys(r, 0, 3)]
     betas = [simple_root(r, a) for a in range(1, r + 1)] + [theta(r)]
-    bad = 0
-    witness = None
-    for b in betas:
+    for b in betas + [-b for b in betas]:
         for v in vecs:
-            if translate.translate_Q(-b, translate.translate_Q(b, v)) != v:
-                bad += 1
-                witness = witness or {"prop": "inverse", "beta": b.to_json()}
-    smalls = [zero_weight(r)] + betas + [-b for b in betas]
-    for mu in smalls:
+            if translate_Q(-b, translate_Q(b, v)) != v:
+                yield {"prop": "inverse", "beta": b.to_json()}
+    for mu in [zero_weight(r)] + betas + [-b for b in betas]:
         for al in betas:
             for d in (0, 1, 2):
-                b1 = mu - d * al
-                sg = coc.comp_eps(b1, d * al)
-                for v in vecs[:4]:
-                    lhs = translate.translate_Q(
-                        b1, translate.translate_Q(d * al, v))
-                    if lhs != sg * translate.translate_Q(mu, v):
-                        bad += 1
-                        witness = witness or {"prop": "composition",
-                                              "mu": mu.to_json(),
-                                              "alpha": al.to_json(), "d": d}
+                sg = coc.comp_eps(mu - d * al, d * al)
+                for v in vecs[:5]:
+                    if (translate_Q(mu - d * al, translate_Q(d * al, v))
+                            != sg * translate_Q(mu, v)):
+                        yield {"prop": "composition", "mu": mu.to_json(),
+                               "alpha": al.to_json(), "d": d}
     for b in betas:
         for al in all_roots(r):
             shift = int(bilinear(b, al))
             for s in (-1, 0, 1):
-                for v in vecs[:4]:
-                    lhs = translate.translate_Q(
-                        b, fock.act_root_vector(
-                            al, s, translate.translate_Q(-b, v)))
+                for v in vecs[:5]:
+                    lhs = translate_Q(
+                        b, fock.act_root_vector(al, s, translate_Q(-b, v)))
                     if lhs != fock.act_root_vector(al, s - shift, v):
-                        bad += 1
-                        witness = witness or {"prop": "conjugation",
-                                              "beta": b.to_json()}
+                        yield {"prop": "conjugation", "beta": b.to_json()}
         for a in range(1, r + 1):
+            pair = bilinear(b, simple_root(r, a))
+            for v in vecs[:5]:
+                lhs = translate_Q(
+                    b, fock.act_heisenberg(a, 0, translate_Q(-b, v)))
+                if lhs != fock.act_heisenberg(a, 0, v) - pair * v:
+                    yield {"prop": "cartan zero mode", "beta": b.to_json(),
+                           "a": a}
             for n in (-2, -1, 1, 2):
-                for v in vecs[:4]:
-                    if (translate.translate_Q(b, fock.act_heisenberg(a, n, v))
-                            != fock.act_heisenberg(
-                                a, n, translate.translate_Q(b, v))):
-                        bad += 1
-                        witness = witness or {"prop": "heisenberg"}
+                for v in vecs[:5]:
+                    if (translate_Q(b, fock.act_heisenberg(a, n, v))
+                            != fock.act_heisenberg(a, n, translate_Q(b, v))):
+                        yield {"prop": "heisenberg", "beta": b.to_json(),
+                               "a": a, "n": n}
+    vac = fock.vacuum(r, 0)
     for i in range(1, r + 1):
-        if (translate.translate_fundamental(i, fock.vacuum(r, 0), +1)
-                != fock.vacuum(r, i)):
-            bad += 1
-            witness = witness or {"prop": "vacuum transport", "i": i}
+        if translate_fundamental(i, vac, +1) != fock.vacuum(r, i):
+            yield {"prop": "vacuum transport", "i": i}
+        for v in vecs[:5]:
+            if translate_fundamental(i, translate_fundamental(i, v, +1),
+                                     -1) != v:
+                yield {"prop": "fundamental inverse", "i": i}
         varpi = fundamental(r, i)
         for al in all_roots(r):
             shift = int(bilinear(varpi, al))
             for s in (-1, 0, 1):
-                for v in vecs[:4]:
-                    inner = translate.translate_fundamental(i, v, +1)
-                    lhs = translate.translate_fundamental(
+                for v in vecs[:5]:
+                    inner = translate_fundamental(i, v, +1)
+                    lhs = translate_fundamental(
                         i, fock.act_root_vector(al, s, inner), -1)
                     if lhs != fock.act_root_vector(al, s + shift, v):
-                        bad += 1
-                        witness = witness or {"prop": "fundamental conjugation",
-                                              "i": i}
-    reports.append({"check": "translate", "input": {"r": r},
-                    "status": "pass" if bad == 0 else "fail",
-                    **({"witness": witness} if witness else {})})
-    return reports
+                        yield {"prop": "fundamental conjugation", "i": i}
+    for lam in map(weight_from_seq, _default_lambdas(r)):
+        for beta in (zero_weight(r), simple_root(r, 1), -simple_root(r, 1)):
+            for al in betas:
+                for d in (0, 1, 2):
+                    sg = coc.comp_eps(lam - beta - d * al, d * al)
+                    for v in vecs[:3]:
+                        lhs = translate_general(lam, beta + d * al,
+                                                translate_Q(d * al, v))
+                        if lhs != sg * translate_general(lam, beta, v):
+                            yield {"prop": "composite composition",
+                                   "lambda": lam.to_json(),
+                                   "beta": beta.to_json(),
+                                   "alpha": al.to_json(), "d": d}
+            for al in betas:
+                shift = int(bilinear(lam - beta, al))
+                for s in (-1, 0, 1):
+                    for v in vecs[:3]:
+                        lhs = translate_general_inverse(
+                            lam, beta, fock.act_root_vector(
+                                -al, s, translate_general(lam, beta, v)))
+                        if lhs != fock.act_root_vector(-al, s - shift, v):
+                            yield {"prop": "composite conjugation",
+                                   "lambda": lam.to_json(),
+                                   "beta": beta.to_json(),
+                                   "alpha": al.to_json()}
+
+
+def suite_translate(cfg):
+    witness = next(_translate_failures(cfg.r), None)
+    return [{"check": "translate", "input": {"r": cfg.r},
+             "status": "pass" if witness is None else "fail",
+             **({"witness": witness} if witness else {})}]
 
 
 def suite_weights(cfg):
@@ -437,12 +450,9 @@ def suite_weights(cfg):
                         "input": {"r": cfg.r, "lambda": list(seq),
                                   "count": len(vecs)},
                         "status": "pass" if ok else "fail"})
-        bad = None
-        for P in pops:
-            rep = clbasis.verify_weight(P, min(1, cfg.kmax))
-            if rep["status"] != "pass":
-                bad = rep
-                break
+        reps = (clbasis.verify_weight(P, k) for P in pops
+                for k in range(min(1, cfg.kmax) + 1))
+        bad = next((rep for rep in reps if rep["status"] != "pass"), None)
         reports.append({"check": "weight_law",
                         "input": {"r": cfg.r, "lambda": list(seq)},
                         "status": "pass" if bad is None else "fail",
@@ -451,34 +461,17 @@ def suite_weights(cfg):
 
 
 def suite_stability(cfg):
-    reports = []
-    for seq in _lambda_set(cfg):
-        depth_bound = cfg.depth if cfg.depth is not None else 3
-        pops = [P for P in enumerate_pops(seq)
-                if is_stable(P) and depth_total(P) <= depth_bound]
-        for P in pops:
-            reports.append(clbasis.verify_stability(P, cfg.kmax))
-    return reports
+    return [clbasis.verify_stability(P, cfg.kmax) for P in _stable_pops(cfg)]
 
 
 def suite_mtp(cfg):
-    reports = []
-    for seq in _lambda_set(cfg):
-        depth_bound = cfg.depth if cfg.depth is not None else 3
-        pops = [P for P in enumerate_pops(seq)
-                if is_stable(P) and depth_total(P) <= depth_bound]
-        for P in pops:
-            for s in range(1, cfg.r + 2):
-                reports.append(clbasis.verify_mtp(P, 0, s))
-    return reports
+    return [clbasis.verify_mtp(P, k, s) for P in _stable_pops(cfg)
+            for s in range(1, cfg.r + 2) for k in (0, 1)]
 
 
 def suite_chain(cfg):
-    reports = []
-    for seq in _lambda_set(cfg):
-        lam = weight_from_seq(seq)
-        reports.append(clbasis.weyl_span(lam, 1))
-    return reports
+    return [clbasis.weyl_span(weight_from_seq(seq), 1)
+            for seq in _lambda_set(cfg)]
 
 
 def suite_basis(cfg):

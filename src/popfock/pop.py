@@ -88,10 +88,6 @@ class POP:
         return cls(pattern, overlay)
 
 
-def validate_pop(pattern, overlay=None):
-    return POP(pattern, overlay)
-
-
 def restrict(P, s):
     """Restriction P_s: rows are the suffixes starting at column s; rank drops."""
     r = P.r

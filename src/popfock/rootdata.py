@@ -186,6 +186,23 @@ def weight_from_seq(seq):
     return FiniteWeight(len(seq) - 1, seq)
 
 
+def dominant_seqs(r, total):
+    """Dominant sequences (weakly decreasing, r+1 entries, last 0) with the
+    given sum, in ascending lex order."""
+    seqs = []
+
+    def rec(prefix, remaining, cap):
+        if len(prefix) == r:
+            if remaining == 0:
+                seqs.append(tuple(prefix) + (0,))
+            return
+        for v in range(min(cap, remaining) + 1):
+            rec(prefix + [v], remaining - v, v)
+
+    rec([], total, total)
+    return seqs
+
+
 def residue_class(lam):
     """i_λ: remainder of λ_1 + ... + λ_{r+1} mod r+1, for dominant λ."""
     if not lam.is_dominant():
@@ -255,9 +272,6 @@ class AffineWeight:
         return AffineWeight(self.finite - other.finite, self.level - other.level,
                             self.delta - other.delta)
 
-    def add_delta(self, q):
-        return AffineWeight(self.finite, self.level, self.delta + Fraction(q))
-
     def assert_integral(self):
         if self.delta.denominator != 1:
             raise AssertionError("non-integral delta coefficient: %s" % self.delta)
@@ -277,10 +291,6 @@ def Lambda0(r):
 def Lambda(r, i):
     """Λ_i in the artifact normalization Λ_0 + ϖ_i."""
     return AffineWeight(fundamental(r, i), 1, 0)
-
-
-def delta_weight(r):
-    return AffineWeight(zero_weight(r), 0, 1)
 
 
 def translate_weight(beta, L):

@@ -1,229 +1,104 @@
 """Acceptance suite: the ten exact (tolerance-zero) criteria.
 
-Every comparison is exact over the rationals; one summary line is printed per
-criterion.  Expected runtimes are desk scale (the whole module is minutes).
+Criteria c01-c08 and c10 run the `popfock verify` suites with their default
+parameters, so the CLI and these tests share one definition of each check.
+The tests add what a suite cannot check about itself: the pinned workload
+counts and the independent oracles (the local Weyl module dimension and the
+colored-partition count).  c09 has no suite and calls the library directly.
+One summary line is printed per criterion.
 """
 
-import itertools
+import json
 import time
 from fractions import Fraction
+from math import comb
 
-from popfock.cli import bracket_expected, dominant_seqs, gamma_ball
-from popfock.clbasis import (cl_vector, rank_of, stable_basis,
-                             verify_crucprop, verify_mtp, verify_stability,
-                             verify_stabsl2, verify_weight, weyl_span)
-from popfock.fock import (FockVector, act_heisenberg, act_root_vector,
-                          enumerate_keys, graded_dim, vacuum)
+from popfock.cli import parse_config, run
+from popfock.clbasis import verify_crucprop, verify_stabsl2
 from popfock.partitions import Partition, colored_partitions, _partitions_of
-from popfock.pop import (area_identity, depth, depth_total, enumerate_pops,
-                         invariant_set, invariant_slice, is_stable)
-from popfock.rootdata import (all_roots, bilinear, fundamental,
-                              seq_from_fundamental, simple_root, theta,
-                              weight_from_seq, zero_weight)
-from popfock.translate import (Cocycle, translate_Q, translate_fundamental,
-                               translate_general, translate_general_inverse)
+from popfock.rootdata import fundamental, simple_root, theta
+
+C03_ARGV = ["verify", "brackets", "--r", "2", "--depth", "3"]
 
 
 def _announce(num, name, t0):
     print("ACCEPTANCE %2d %-24s PASS  (%.1fs)" % (num, name, time.time() - t0))
 
 
-def _stable_pop_set(r):
-    if r == 1:
-        seqs = [(0, 0), (1, 0), (2, 0)]
-    else:
-        seqs = [(0,) * (r + 1), (1,) + (0,) * r,
-                seq_from_fundamental(r, (1,) * r)]
-    out = []
-    for seq in seqs:
-        for P in enumerate_pops(seq):
-            if is_stable(P) and depth_total(P) <= 3:
-                out.append(P)
-    return out
+def _verify(argv):
+    """Reports of one `popfock verify` run, each asserted to pass."""
+    status, lines = run(parse_config(argv))
+    reports = [json.loads(line) for line in lines]
+    for rep in reports:
+        assert rep["status"] == "pass", rep
+    assert status == 0 and reports
+    return reports
+
+
+def _weyl_dim(seq):
+    """dim W(lambda) = prod_i C(r+1, i)^{m_i}, m the varpi-coefficients."""
+    dim = 1
+    for i in range(1, len(seq)):
+        dim *= comb(len(seq), i) ** (seq[i - 1] - seq[i])
+    return dim
 
 
 def test_c01_pop_identity_suite():
-    from math import comb
     t0 = time.time()
     total = 0
     for r in (1, 2, 3):
-        for seq in dominant_seqs(r, 4):
-            count = 0
-            for P in enumerate_pops(seq):
-                count += 1
-                ok, diag = area_identity(P)
-                assert ok, (P, diag)
-                dd = depth(P)
-                for s in range(1, r + 1):
-                    assert dd["restricted"][s] == dd["restricted"][s + 1] + \
-                        sum(dd["table"][(s, j)] for j in range(s, r + 1))
-                    merged = invariant_set(P, s + 1)
-                    for j in range(s, r + 1):
-                        sl = invariant_slice(P, s, j)
-                        for part in ("d", "dprime", "overlay"):
-                            merged[part].update(sl[part])
-                    assert invariant_set(P, s) == merged
-            # independent dimension oracle for the local Weyl module
-            ms = weight_from_seq(seq).fundamental_coeffs()
-            dim = 1
-            for idx, m in enumerate(ms, start=1):
-                dim *= comb(r + 1, idx) ** m
-            assert count == dim, (seq, count, dim)
-            total += count
+        for rep in _verify(["verify", "identities", "--r", str(r)]):
+            assert rep["input"]["pops"] == _weyl_dim(rep["input"]["lambda"])
+            total += rep["input"]["pops"]
     assert total == 723
     _announce(1, "pop identities (%d POPs)" % total, t0)
 
 
 def test_c02_weight_multiplicities():
     t0 = time.time()
+    total = 0
     for r in (1, 2):
-        for i in range(r + 1):
-            for gq in gamma_ball(r, 8):
-                for m in range(5):
-                    assert graded_dim(r, i, gq, m) == \
-                        colored_partitions(r, m, count_only=True)
-    _announce(2, "weight multiplicities", t0)
+        total += len(_verify(["verify", "dims", "--r", str(r)]))
+    assert total == 335
+    _announce(2, "weight multiplicities (%d)" % total, t0)
 
 
 def test_c03_bracket_relations():
     t0 = time.time()
-    r = 2
-    roots = all_roots(r)
-    total = 0
-    for i in range(r + 1):
-        keys = enumerate_keys(r, i, 3)
-        for al, be in itertools.product(roots, roots):
-            for s1 in range(-2, 3):
-                for s2 in range(-2, 3):
-                    for key in keys:
-                        v = FockVector(r, i, {key: Fraction(1)})
-                        lhs = (act_root_vector(al, s1,
-                                               act_root_vector(be, s2, v))
-                               - act_root_vector(be, s2,
-                                                 act_root_vector(al, s1, v)))
-                        assert lhs == bracket_expected(al, be, s1, s2, v), \
-                            (al, be, s1, s2, key)
-                        total += 1
+    total = sum(rep["input"]["instances"] for rep in _verify(C03_ARGV))
+    assert total == 237600
     _announce(3, "bracket relations (%d)" % total, t0)
 
 
 def test_c04_translation_contract():
     t0 = time.time()
     for r in (1, 2):
-        coc = Cocycle(r)
-        keys = enumerate_keys(r, 0, 3)
-        vecs = [FockVector(r, 0, {k: Fraction(1)}) for k in keys]
-        betas = [simple_root(r, a) for a in range(1, r + 1)] + [theta(r)]
-        # (1) inverse pairs
-        for b in betas + [-b for b in betas]:
-            for v in vecs:
-                assert translate_Q(-b, translate_Q(b, v)) == v
-        # (2) composition constants against the translation cocycle
-        smalls = [zero_weight(r)] + betas + [-b for b in betas]
-        for mu in smalls:
-            for al in betas:
-                for d in (0, 1, 2):
-                    sg = coc.comp_eps(mu - d * al, d * al)
-                    for v in vecs[:5]:
-                        assert translate_Q(mu - d * al,
-                                           translate_Q(d * al, v)) == \
-                            sg * translate_Q(mu, v)
-        # (3)+(4) adjoint action on root vectors and the Cartan zero mode
-        for b in betas:
-            for al in all_roots(r):
-                shift = int(bilinear(b, al))
-                for s in (-1, 0, 1):
-                    for v in vecs[:5]:
-                        lhs = translate_Q(
-                            b, act_root_vector(al, s, translate_Q(-b, v)))
-                        assert lhs == act_root_vector(al, s - shift, v)
-            for a in range(1, r + 1):
-                pair = Fraction(bilinear(b, simple_root(r, a)))
-                for v in vecs[:5]:
-                    lhs = translate_Q(
-                        b, act_heisenberg(a, 0, translate_Q(-b, v)))
-                    assert lhs == act_heisenberg(a, 0, v) - pair * v
-                # (5) commutation with the nonzero modes
-                for n in (-2, -1, 1, 2):
-                    for v in vecs[:5]:
-                        assert translate_Q(b, act_heisenberg(a, n, v)) == \
-                            act_heisenberg(a, n, translate_Q(b, v))
-        # fundamental translations: transport, inverses, intertwining
-        for i in range(1, r + 1):
-            assert translate_fundamental(i, vacuum(r, 0), +1) == vacuum(r, i)
-            varpi = fundamental(r, i)
-            for v in vecs[:5]:
-                w = translate_fundamental(i, v, +1)
-                assert translate_fundamental(i, w, -1) == v
-            for al in all_roots(r):
-                shift = int(bilinear(varpi, al))
-                for s in (-1, 0, 1):
-                    for v in vecs[:5]:
-                        inner = translate_fundamental(i, v, +1)
-                        lhs = translate_fundamental(
-                            i, act_root_vector(al, s, inner), -1)
-                        assert lhs == act_root_vector(al, s + shift, v)
-        # composite translations: composition law and conjugation
-        doms = [zero_weight(r), fundamental(r, 1), 2 * fundamental(r, 1)]
-        if r == 2:
-            doms.append(fundamental(r, 1) + fundamental(r, 2))
-        for lam in doms:
-            for beta in [zero_weight(r), simple_root(r, 1),
-                         -simple_root(r, 1)]:
-                for al in betas:
-                    for d in (0, 1, 2):
-                        sg = coc.comp_eps(lam - beta - d * al, d * al)
-                        for v in vecs[:3]:
-                            lhs = translate_general(
-                                lam, beta + d * al, translate_Q(d * al, v))
-                            assert lhs == sg * translate_general(lam, beta, v)
-                x = lam - beta
-                for al in betas:
-                    sh = int(bilinear(x, al))
-                    for s in (-1, 0, 1):
-                        for v in vecs[:3]:
-                            lhs = translate_general_inverse(
-                                lam, beta,
-                                act_root_vector(-al, s,
-                                                translate_general(lam, beta, v)))
-                            assert lhs == act_root_vector(-al, s - sh, v)
+        _verify(["verify", "translate", "--r", str(r)])
     _announce(4, "translation contract", t0)
-
-
-def _lambda_seqs_r2():
-    return [(1, 0, 0), (2, 0, 0), (2, 1, 0)]
 
 
 def test_c05_cl_basis_and_weight_law():
     t0 = time.time()
-    r = 2
-    for seq in _lambda_seqs_r2():
-        pops = enumerate_pops(seq)
-        vecs = [cl_vector(P, 0) for P in pops]
-        assert rank_of(vecs) == len(vecs) == len(pops)
-        for P in pops:
-            assert verify_weight(P, 0)["status"] == "pass"
+    reports = _verify(["verify", "weights", "--r", "2"])
+    counts = [rep["input"]["count"] for rep in reports
+              if rep["check"] == "cl_basis_independent"]
+    lams = [rep["input"]["lambda"] for rep in reports
+            if rep["check"] == "weight_law"]
+    assert lams == [[0, 0, 0], [1, 0, 0], [2, 0, 0], [2, 1, 0]]
+    assert counts == [_weyl_dim(seq) for seq in lams]
     _announce(5, "basis independence + weights", t0)
 
 
 def test_c06_chain_inclusion():
     t0 = time.time()
-    r = 2
-    for seq in _lambda_seqs_r2():
-        lam = weight_from_seq(seq)
-        rep = weyl_span(lam, 1)
-        assert rep["status"] == "pass", rep
+    assert len(_verify(["verify", "chain", "--r", "2"])) == 4
     _announce(6, "chain inclusion", t0)
 
 
 def test_c07_main_stability():
     t0 = time.time()
-    total = 0
-    for r in (1, 2):
-        for P in _stable_pop_set(r):
-            rep = verify_stability(P, 2)
-            assert rep["status"] == "pass", rep
-            total += 1
+    total = sum(len(_verify(["verify", "stability", "--r", str(r)]))
+                for r in (1, 2))
     assert total >= 19
     _announce(7, "main stability theorem (%d stable POPs)" % total, t0)
 
@@ -232,12 +107,9 @@ def test_c08_intermediate_form():
     t0 = time.time()
     total = 0
     for r in (1, 2):
-        for P in _stable_pop_set(r):
-            for s in range(1, r + 2):
-                for k in (0, 1):
-                    rep = verify_mtp(P, k, s)
-                    assert rep["status"] == "pass", rep
-                    total += 1
+        reports = _verify(["verify", "mtp", "--r", str(r)])
+        assert {rep["input"]["k"] for rep in reports} == {0, 1}
+        total += len(reports)
     _announce(8, "intermediate form (%d)" % total, t0)
 
 
@@ -282,12 +154,10 @@ def test_c10_stable_bases():
     t0 = time.time()
     total = 0
     for r in (1, 2):
-        for gq in (zero_weight(r), simple_root(r, 1)):
-            for i in range(r + 1):
-                for d in range(3):
-                    vecs, rep = stable_basis(i, gq, d)
-                    assert rep["status"] == "pass", rep
-                    assert len(vecs) == colored_partitions(r, d,
-                                                           count_only=True)
-                    total += 1
+        for rep in _verify(["verify", "basis", "--r", str(r)]):
+            d = rep["input"]["d"]
+            assert rep["witness"]["size"] == colored_partitions(
+                r, d, count_only=True)
+            total += 1
+    assert total == 30
     _announce(10, "stable bases (%d)" % total, t0)

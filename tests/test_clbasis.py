@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popfock.clbasis import (cl_monomial, cl_vector, highest_vector, in_span,
                              rank_of, rho, rho_column, sign_eps, stable_basis,
@@ -8,7 +9,7 @@ from popfock.clbasis import (cl_monomial, cl_vector, highest_vector, in_span,
                              verify_stabsl2, verify_weight, weyl_span,
                              _apply_block_fast)
 from popfock.fock import (FockKey, FockVector, act_heisenberg, apply_poly,
-                          vacuum, weight_of)
+                          enumerate_keys, vacuum, weight_of)
 from popfock.gtpattern import GTPattern
 from popfock.partitions import Partition
 from popfock.pop import POP, enumerate_pops, is_stable
@@ -179,6 +180,32 @@ def test_linear_algebra_helpers():
     assert rank_of([w1, w1 + w2, w2]) == 2
     assert in_span([w1, w2], 3 * w1 - w2)
     assert not in_span([w1], w2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_elimination_matches_sympy_rank(data):
+    sympy = pytest.importorskip("sympy")
+    n = data.draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=1, max_size=4))
+    coeffs = data.draw(st.lists(entry, min_size=len(rows),
+                                max_size=len(rows)))
+    noise = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    target = [sum(c * row[j] for c, row in zip(coeffs, rows)) + e
+              for j, e in enumerate(noise)]
+    keys = enumerate_keys(1, 0, 2)[:n]
+
+    def vec(row):
+        return FockVector(1, 0, {k: Fraction(c)
+                                 for k, c in zip(keys, row) if c})
+
+    vecs = [vec(row) for row in rows]
+    rank = sympy.Matrix(rows).rank()
+    assert rank_of(vecs) == rank
+    assert in_span(vecs, vec(target)) == (
+        sympy.Matrix(rows + [target]).rank() == rank)
 
 
 def test_weyl_span_small():
