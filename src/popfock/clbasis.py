@@ -11,7 +11,6 @@ fails at k = 2, so the plain-product reading is untenable.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
 from math import factorial
 
 from . import fock, translate
@@ -195,12 +194,14 @@ def _report(check, inp, ok, witness=None):
     return rep
 
 
-def verify_weight(P, k=0):
+def verify_weight(P, k=0, v=None):
     """Weight law: wt of v_{P^k} is t_{wt P - varpi}(Lambda_i) - d(P) delta,
-    independent of k (artifact delta normalization)."""
+    independent of k (artifact delta normalization).  v is cl_vector(P, k)
+    when the caller has built it already."""
     lam = weight_from_seq(P.bounding_seq())
     i = residue_class(lam)
-    v = cl_vector(P, k)
+    if v is None:
+        v = cl_vector(P, k)
     if v.is_zero():
         return _report("weight_law", {"pop": P.to_json(), "k": k}, False,
                        "vector vanished")
@@ -516,9 +517,10 @@ def weyl_span(lam, steps=1):
                    {"dims": dims})
 
 
-def _candidate_lambdas(r, i):
-    """Dominant weights with residue class i, by total then lex sequence."""
-    for total in count(i, r + 1):
+def _candidate_lambdas(r, i, max_total):
+    """Dominant weights with residue class i and sequence total at most
+    max_total, by total then lex sequence."""
+    for total in range(i, max_total + 1, r + 1):
         for seq in dominant_seqs(r, total):
             yield weight_from_seq(seq)
 
@@ -533,22 +535,29 @@ def stable_basis(i, gamma, d):
     count).  The fullness condition is forced: without it the shifted index
     set picks up members that are not shift images, they fail the diagonal
     bound and the basis genuinely depends on k (observed at rank 2 with the
-    zero weight and d = 2)."""
+    zero weight and d = 2).  The search stops at the total of mu^+ + d theta,
+    the candidate that has always qualified; past it the report fails with
+    reason "no candidate"."""
     if gamma.class_index() != 0:
         raise ValueError("gamma must lie in the root lattice")
     r = gamma.r
     mu = fundamental(r, i) + gamma
     expected = colored_partitions(r, d, count_only=True)
+    mu_plus = sorted(mu.coords, reverse=True)
+    max_total = sum(mu_plus) - (r + 1) * mu_plus[-1] + d * (r + 1)
     lam = None
-    for cand in _candidate_lambdas(r, i):
+    for cand in _candidate_lambdas(r, i, max_total):
         if not weight_in_irrep(mu, cand):
             continue
         seq0 = seq_from_fundamental(r, cand.fundamental_coeffs())
         if len(enumerate_pops(seq0, weight=mu, depth_filter=d)) == expected:
             lam = cand
             break
-    inp = {"i": i, "gamma": gamma.to_json(), "d": d,
-           "lambda_seq": list(seq_from_fundamental(r, lam.fundamental_coeffs()))}
+    inp = {"i": i, "gamma": gamma.to_json(), "d": d}
+    if lam is None:
+        return [], _report("stable_basis", inp, False,
+                           {"reason": "no candidate"})
+    inp["lambda_seq"] = list(seq_from_fundamental(r, lam.fundamental_coeffs()))
 
     def build(k):
         lamk = lam + k * theta(r)

@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from math import factorial
 
 from . import clbasis, fock, gtpattern, pop
 from .partitions import colored_partitions
@@ -307,39 +309,137 @@ def bracket_expected(al, be, s1, s2, v):
     return exp
 
 
+_BRACKET_MODES = range(-2, 3)
+
+
+class _KeyIndex(dict):
+    """FockKey -> index, numbering keys in the order they are first met."""
+
+    def __missing__(self, key):
+        n = self[key] = len(self)
+        return n
+
+
+def _scaled(terms, scale, index):
+    """{FockKey: coefficient} as {key index: scale * coefficient}; raises
+    unless every scaled coefficient is an integer."""
+    out = {}
+    for key, c in terms.items():
+        c *= scale
+        if c.denominator != 1:
+            raise ArithmeticError("coefficient %s of %r has a denominator "
+                                  "that does not divide %d"
+                                  % (c / scale, key, scale))
+        out[index[key]] = c.numerator
+    return out
+
+
+def _bracket_rhs(r, al, be, table, heis, scale, nkeys):
+    """scale^2 times bracket_expected(al, be, s1, s2, .) without its central
+    term, on the keys with index < nkeys, by n = s1 + s2: for each n a list
+    of {key index: int}, one per key."""
+    offdiag = []
+    h = [0] * (r + 1)
+    for (i, j), c in finite_bracket(al, be).items():
+        if i == j:
+            h[i - 1] += c
+            continue
+        coords = [0] * (r + 1)
+        coords[i - 1] += 1
+        coords[j - 1] -= 1
+        offdiag.append((FiniteWeight(r, coords), c * scale))
+    # h has trace 0, so h = sum_a acc_a alpha_a with acc the partial sums
+    acc = list(accumulate(h[:-1]))
+    out = {}
+    for n in range(-4, 5):
+        parts = ([(table[gamma, n], c) for gamma, c in offdiag]
+                 + [(heis[a, n], c) for a, c in enumerate(acc, 1) if c])
+        rows = []
+        for k in range(nkeys):
+            row = {}
+            for images, c in parts:
+                for q, x in images[k].items():
+                    row[q] = row.get(q, 0) + c * x
+            rows.append(row)
+        out[n] = rows
+    return out
+
+
+def _bracket_failures(r, emax, keys):
+    """Failing instances (al, be, s1, s2, key position) of
+    [x_al (x) t^s1, x_be (x) t^s2] = bracket_expected on the unit vectors of
+    the distinct keys `keys` (one sector, energy <= emax), in sweep order.
+
+    Each root action is computed once, by the uncached kernel, into integer
+    tables: table[alpha, s][k] is the image of the key with index k as
+    {key index: L * coefficient}, L = (emax + 4)!.  A creation term of degree
+    c has a denominator dividing c!, and no image the sweep needs has energy
+    above emax + 4.  For |s| <= 2 the tables cover the keys of `keys` and
+    every key their images reach; for 2 < |s| <= 4 (the right-hand side)
+    only `keys`.  An instance holds iff L^2 (x_al x_be - x_be x_al) k equals
+    L^2 RHS(k), term by term."""
+    roots = all_roots(r)
+    scale = factorial(emax + 4)
+    index = _KeyIndex((key, n) for n, key in enumerate(keys))
+
+    def images(alpha, s, ks):
+        return [_scaled(fock._root_action_kernel(r, alpha, s, key), scale,
+                        index) for key in ks]
+
+    table = {(alpha, s): images(alpha, s, keys)
+             for s in _BRACKET_MODES for alpha in roots}
+    reached = list(index)[len(keys):]
+    for (alpha, s), rows in table.items():
+        rows.extend(images(alpha, s, reached))
+    for n in (-4, -3, 3, 4):
+        for alpha in roots:
+            table[alpha, n] = images(alpha, n, keys)
+    square = scale * scale
+    heis = {(a, n): [_scaled(fock.act_heisenberg(
+        a, n, fock.FockVector(r, key.sector, {key: 1})).terms, square, index)
+        for key in keys] for a in range(1, r + 1) for n in range(-4, 5)}
+    for al in roots:
+        for be in roots:
+            rhs = _bracket_rhs(r, al, be, table, heis, scale, len(keys))
+            opposite = be == -al
+            for s1 in _BRACKET_MODES:
+                A = table[al, s1]
+                for s2 in _BRACKET_MODES:
+                    B = table[be, s2]
+                    want = rhs[s1 + s2]
+                    central = s1 * square if opposite and s2 == -s1 else 0
+                    for k in range(len(keys)):
+                        diff = {q: -c for q, c in want[k].items()}
+                        if central:
+                            diff[k] = diff.get(k, 0) - central
+                        for k1, c1 in B[k].items():
+                            for k2, c2 in A[k1].items():
+                                diff[k2] = diff.get(k2, 0) + c1 * c2
+                        for k1, c1 in A[k].items():
+                            for k2, c2 in B[k1].items():
+                                diff[k2] = diff.get(k2, 0) - c1 * c2
+                        if any(diff.values()):
+                            yield al, be, s1, s2, k
+
+
 def suite_brackets(cfg):
     reports = []
     r = cfg.r
     emax = cfg.depth if cfg.depth is not None else 3
     sectors = [cfg.sector] if cfg.sector is not None else list(range(r + 1))
-    roots = all_roots(r)
+    n_pairs = len(all_roots(r)) ** 2 * len(_BRACKET_MODES) ** 2
     for i in sectors:
         keys = fock.enumerate_keys(r, i, emax)
-        bad = 0
-        total = 0
+        bad = next(_bracket_failures(r, emax, keys), None)
         witness = None
-        for al in roots:
-            for be in roots:
-                for s1 in range(-2, 3):
-                    for s2 in range(-2, 3):
-                        for key in keys:
-                            v = fock.FockVector(r, i, {key: Fraction(1)})
-                            lhs = (fock.act_root_vector(
-                                al, s1, fock.act_root_vector(be, s2, v))
-                                - fock.act_root_vector(
-                                    be, s2, fock.act_root_vector(al, s1, v)))
-                            total += 1
-                            if lhs != bracket_expected(al, be, s1, s2, v):
-                                bad += 1
-                                if witness is None:
-                                    witness = {"al": al.to_json(),
-                                               "be": be.to_json(),
-                                               "s1": s1, "s2": s2,
-                                               "key": repr(key)}
+        if bad is not None:
+            al, be, s1, s2, k = bad
+            witness = {"al": al.to_json(), "be": be.to_json(),
+                       "s1": s1, "s2": s2, "key": repr(keys[k])}
         reports.append({"check": "brackets",
                         "input": {"r": r, "sector": i, "emax": emax,
-                                  "instances": total},
-                        "status": "pass" if bad == 0 else "fail",
+                                  "instances": n_pairs * len(keys)},
+                        "status": "pass" if bad is None else "fail",
                         **({"witness": witness} if witness else {})})
     return reports
 
@@ -450,7 +550,8 @@ def suite_weights(cfg):
                         "input": {"r": cfg.r, "lambda": list(seq),
                                   "count": len(vecs)},
                         "status": "pass" if ok else "fail"})
-        reps = (clbasis.verify_weight(P, k) for P in pops
+        reps = (clbasis.verify_weight(P, k, v if k == 0 else None)
+                for P, v in zip(pops, vecs)
                 for k in range(min(1, cfg.kmax) + 1))
         bad = next((rep for rep in reps if rep["status"] != "pass"), None)
         reports.append({"check": "weight_law",

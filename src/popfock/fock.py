@@ -292,8 +292,16 @@ def _act_root_on_key(r, alpha, s, key):
     """x_alpha (x) t^s applied to a single key; cached."""
     ck = (alpha, s, key)
     hit = _ROOT_ACTION_CACHE.get(ck)
-    if hit is not None:
-        return hit
+    if hit is None:
+        hit = _ROOT_ACTION_CACHE[ck] = _root_action_kernel(r, alpha, s, key)
+    return hit
+
+
+def _root_action_kernel(r, alpha, s, key):
+    """x_alpha (x) t^s applied to a single key, uncached: {FockKey: Fraction}.
+
+    A coefficient's denominator divides c! for the largest creation degree c
+    it uses, and c is at most the energy of the output key."""
     eta = 1 if is_positive_root(alpha) else -1
     alpha_lat = alpha.lattice_rep()
     gamma_lat = key.gamma.lattice_rep()
@@ -314,7 +322,6 @@ def _act_root_on_key(r, alpha, s, key):
                 out[nk] = val
             elif nk in out:
                 del out[nk]
-    _ROOT_ACTION_CACHE[ck] = out
     return out
 
 

@@ -120,10 +120,12 @@ def shift(P, k):
     return GTPattern(rows)
 
 
-def enumerate_patterns(lamseq):
+def enumerate_patterns(lamseq, row_sums=None):
     """All patterns with the given bounding sequence.
 
     Order: lexicographic in the concatenation of rows from bottom to top.
+    With row_sums (the sums of rows 1..r+1, top row first), only the
+    patterns whose rows have those sums, each wrong row cutting its subtree.
     """
     lamseq = tuple(int(x) for x in lamseq)
     if any(lamseq[i] < lamseq[i + 1] for i in range(len(lamseq) - 1)):
@@ -149,9 +151,12 @@ def enumerate_patterns(lamseq):
             results.append(GTPattern(list(reversed(stack))))
             return
         for row in interlacings(top):
+            if row_sums is not None and sum(row) != row_sums[len(row) - 1]:
+                continue
             stack.append(row)
             rec(stack)
             stack.pop()
 
-    rec([list(lamseq)])
+    if row_sums is None or sum(lamseq) == row_sums[-1]:
+        rec([list(lamseq)])
     return results

@@ -4,6 +4,7 @@ stability predicate, enumeration, and the area identity."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from . import gtpattern
 from .gtpattern import GTPattern
@@ -186,10 +187,18 @@ def enumerate_pops(lamseq, weight=None, depth_filter=None):
 
     Filters: exact weight (FiniteWeight) and exact depth.  Deterministic
     order: pattern enumeration order, then overlay cells by (j, i), each cell's
-    partitions in enumerate_rect order.
+    partitions in enumerate_rect order.  A weight fixes every row sum of the
+    pattern, so it prunes the pattern enumeration.
     """
     out = []
-    for pattern in gtpattern.enumerate_patterns(lamseq):
+    row_sums = None
+    if weight is not None:
+        n = len(lamseq)
+        t, rem = divmod(sum(lamseq) - sum(weight.coords), n)
+        if rem or weight.r != n - 1:
+            return out
+        row_sums = list(accumulate(c + t for c in weight.coords))
+    for pattern in gtpattern.enumerate_patterns(lamseq, row_sums):
         if weight is not None and gtpattern.weight(pattern) != weight:
             continue
         st = gtpattern.stats(pattern)

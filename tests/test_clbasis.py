@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from popfock import clbasis
 from popfock.clbasis import (cl_monomial, cl_vector, highest_vector, in_span,
                              rank_of, rho, rho_column, sign_eps, stable_basis,
                              verify_crucprop, verify_mtp, verify_stability,
@@ -222,3 +223,14 @@ def test_stable_basis_small():
     assert rep["status"] == "pass" and len(vecs) == 2
     vecs, rep = stable_basis(0, zero_weight(2), 2)
     assert rep["status"] == "pass" and len(vecs) == 5
+
+
+def test_stable_basis_search_is_bounded(monkeypatch):
+    # with no candidate qualifying, the search stops at the total of
+    # mu^+ + d theta and reports instead of looping forever
+    monkeypatch.setattr(clbasis, "enumerate_pops", lambda *a, **kw: [])
+    vecs, rep = stable_basis(1, simple_root(2, 1), 1)
+    assert vecs == [] and rep["status"] == "fail"
+    assert rep["witness"] == {"reason": "no candidate"}
+    assert rep["input"] == {"i": 1, "gamma": simple_root(2, 1).to_json(),
+                            "d": 1}

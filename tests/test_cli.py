@@ -1,14 +1,19 @@
+import itertools
 import json
 import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from popfock import fock
-from popfock.cli import RunConfig, UsageError, main, parse_config, run
+from popfock import clbasis, fock
+from popfock.cli import (RunConfig, UsageError, _KeyIndex, _scaled,
+                         bracket_expected, main, parse_config, run)
+from popfock.rootdata import all_roots, zero_weight
 from test_acceptance import C03_ARGV
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,16 +64,74 @@ def test_readme_examples_run():
 
 
 def test_run_starts_with_cold_caches():
-    small = ["verify", "brackets", "--r", "1", "--depth", "1"]
+    small = ["verify", "basis", "--r", "1", "--depth", "1"]
     first = run(parse_config(small))
     sizes = (len(fock._ROOT_ACTION_CACHE),
              fock._creation_terms.cache_info().currsize)
     assert sizes[0] > 0
     assert run(parse_config(small)) == first
-    run(parse_config(["verify", "brackets", "--r", "1", "--depth", "2"]))
+    run(parse_config(["verify", "basis", "--r", "1", "--depth", "2"]))
     assert run(parse_config(small)) == first
     assert (len(fock._ROOT_ACTION_CACHE),
             fock._creation_terms.cache_info().currsize) == sizes
+
+
+def _first_slow_bracket_failure(r, i, emax):
+    """The first failing bracket instance found by act_root_vector and
+    bracket_expected on unit vectors, in the sweep's loop order."""
+    keys = fock.enumerate_keys(r, i, emax)
+    roots = all_roots(r)
+    act = fock.act_root_vector
+    for al, be in itertools.product(roots, roots):
+        for s1, s2 in itertools.product(range(-2, 3), repeat=2):
+            for key in keys:
+                v = fock.FockVector(r, i, {key: 1})
+                lhs = (act(al, s1, act(be, s2, v))
+                       - act(be, s2, act(al, s1, v)))
+                if lhs != bracket_expected(al, be, s1, s2, v):
+                    return {"al": al.to_json(), "be": be.to_json(),
+                            "s1": s1, "s2": s2, "key": repr(key)}
+    return None
+
+
+def test_bracket_sweep_fault_matches_slow_path(monkeypatch):
+    kernel = fock._root_action_kernel
+
+    def faulty(r, alpha, s, key):
+        out = kernel(r, alpha, s, key)
+        return {k: -c for k, c in out.items()} if s == 1 else out
+
+    monkeypatch.setattr(fock, "_root_action_kernel", faulty)
+    monkeypatch.setattr(fock, "_ROOT_ACTION_CACHE", {})
+    status, lines = run(parse_config(
+        ["verify", "brackets", "--r", "2", "--depth", "1"]))
+    reports = [json.loads(line) for line in lines]
+    assert status == 1 and len(reports) == 3
+    for rep in reports:
+        assert rep["status"] == "fail"
+        assert rep["witness"] == _first_slow_bracket_failure(
+            2, rep["input"]["sector"], 1)
+
+
+def test_bracket_sweep_rejects_a_foreign_denominator():
+    key = fock.FockKey(zero_weight(1))
+    assert _scaled({key: Fraction(5, 3)}, 6, _KeyIndex()) == {0: 10}
+    with pytest.raises(ArithmeticError):
+        _scaled({key: Fraction(1, 7)}, 6, _KeyIndex())
+
+
+def test_weights_suite_builds_each_vector_once(monkeypatch):
+    calls = Counter()
+    build = clbasis.cl_vector
+
+    def counted(P, k=0):
+        calls[json.dumps(P.to_json(), sort_keys=True), k] += 1
+        return build(P, k)
+
+    monkeypatch.setattr(clbasis, "cl_vector", counted)
+    status, _ = run(parse_config(["verify", "weights", "--r", "2"]))
+    assert status == 0
+    assert len(calls) == 44 and set(calls.values()) == {1}
 
 
 def test_reports_unchanged_under_optimize():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popfock.gtpattern import GTPattern
 from popfock.partitions import Partition, colored_partitions
@@ -6,7 +7,8 @@ from popfock.pop import (POP, area_identity, depth, depth_total,
                          enumerate_pops, enumerate_pops_bruteforce,
                          invariant_set, invariant_slice, is_stable, restrict,
                          shift_bijection_check, shift_pop)
-from popfock.rootdata import fundamental, simple_root, zero_weight
+from popfock.rootdata import (FiniteWeight, fundamental, simple_root,
+                              zero_weight)
 
 
 def P_(rows, overlay=None):
@@ -152,6 +154,28 @@ def test_enumerators_agree():
     a = set(enumerate_pops((2, 1, 0), weight=mu, depth_filter=1))
     b = set(enumerate_pops_bruteforce((2, 1, 0), weight=mu, depth_filter=1))
     assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_weight_pruned_enumeration_matches_bruteforce(data):
+    r = data.draw(st.integers(1, 3))
+    top = 3 if r < 3 else 2
+    lam = tuple(sorted(data.draw(st.lists(st.integers(0, top), min_size=r,
+                                          max_size=r)), reverse=True)) + (0,)
+    occurring = [P.weight() for P in enumerate_pops(lam)]
+    mu = data.draw(st.one_of(
+        st.sampled_from(occurring),
+        st.lists(st.integers(-3, 3), min_size=r + 1, max_size=r + 1).map(
+            lambda c: FiniteWeight(r, c))))
+    depth_filter = data.draw(st.one_of(st.none(), st.integers(0, 3)))
+    got = enumerate_pops(lam, weight=mu, depth_filter=depth_filter)
+    unpruned = [P for P in enumerate_pops(lam, depth_filter=depth_filter)
+                if P.weight() == mu]
+    assert got == unpruned
+    brute = enumerate_pops_bruteforce(lam, weight=mu,
+                                      depth_filter=depth_filter)
+    assert len(got) == len(brute) and set(got) == set(brute)
 
 
 def test_filters():
