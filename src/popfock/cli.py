@@ -16,6 +16,7 @@ from itertools import accumulate
 from math import factorial
 
 from . import clbasis, fock, gtpattern, pop
+from .clbasis import _report
 from .partitions import colored_partitions
 from .pop import POP, enumerate_pops, is_stable, depth_total
 from .rootdata import (FiniteWeight, all_roots, bilinear, dominant_seqs,
@@ -47,8 +48,7 @@ class RunConfig:
     """Validated run configuration for one CLI invocation."""
 
     def __init__(self, command, suite=None, r=1, lam=None, kmax=2, depth=None,
-                 sector=None, gamma=None, out=None, cocycle_table=False,
-                 pop_json=None, k=0, m=0):
+                 sector=None, gamma=None, out=None, pop_json=None, k=0, m=0):
         if r < 1:
             raise UsageError("--r must be at least 1")
         if kmax < 0 or (depth is not None and depth < 0):
@@ -64,10 +64,44 @@ class RunConfig:
         self.sector = sector
         self.gamma = gamma
         self.out = out
-        self.cocycle_table = cocycle_table
         self.pop_json = pop_json
         self.k = k
         self.m = m
+
+
+# Every flag as (flag, RunConfig field, type, help).
+FLAGS = (
+    ("--r", "r", int, "rank of sl_{r+1}; when omitted, inferred from "
+                      "--lambda or --gamma, else 1"),
+    ("--lambda", "lam", str, "dominant weight as its sequence, e.g. 2,1,0"),
+    ("--kmax", "kmax", int, "largest shift in stability checks"),
+    ("--depth", "depth", int, "depth bound (or energy bound for brackets)"),
+    ("--sector", "sector", int, "restrict to one level-one module"),
+    ("--gamma", "gamma", str, "root lattice element as comma-separated "
+                              "simple-root coefficients"),
+    ("--m", "m", int, "size for colored partitions"),
+    ("--pop", "pop_json", str, "POP as JSON {\"rows\":..., \"overlay\":...}"),
+    ("--k", "k", int, "shift for the vector"),
+    ("--out", "out", str, "write the report to a file"),
+)
+
+# The flags each command reads besides --out; any other flag is a usage error.
+COMMANDS = {
+    "enumerate": {"patterns": "--r --lambda",
+                  "pops": "--r --lambda --depth",
+                  "colored": "--r --m"},
+    "verify": {"identities": "--r --lambda",
+               "dims": "--r --depth --sector",
+               "brackets": "--r --depth --sector",
+               "translate": "--r",
+               "weights": "--r --lambda --kmax",
+               "stability": "--r --lambda --depth --kmax",
+               "mtp": "--r --lambda --depth",
+               "chain": "--r --lambda",
+               "basis": "--r --gamma --depth --sector"},
+    "dump": {"cocycle": "--r",
+             "vector": "--pop --k"},
+}
 
 
 def parse_config(argv):
@@ -75,64 +109,32 @@ def parse_config(argv):
         prog="popfock",
         description="Exact verification suite for partition overlaid patterns "
                     "and the level-one lattice Fock model.")
+    flags = argparse.ArgumentParser(add_help=False,
+                                    argument_default=argparse.SUPPRESS)
+    for flag, dest, kind, text in FLAGS:
+        flags.add_argument(flag, dest=dest, type=kind, help=text)
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, text in (("enumerate", "enumerate combinatorial objects"),
+                          ("verify", "run a verification suite"),
+                          ("dump", "dump the cocycle table or a vector")):
+        reads = COMMANDS[command]
+        p = sub.add_parser(command, help=text, parents=[flags],
+                           epilog="flags read: " + "; ".join(
+                               "%s %s --out" % kv for kv in reads.items()))
+        p.add_argument("suite", choices=list(reads))
 
-    def common(p):
-        p.add_argument("--r", type=int, default=None,
-                       help="rank of sl_{r+1}; when omitted, inferred from "
-                            "--lambda or --gamma, else 1")
-        p.add_argument("--lambda", dest="lam", type=str, default=None,
-                       help="dominant weight as its sequence, e.g. 2,1,0")
-        p.add_argument("--kmax", type=int, default=2,
-                       help="largest shift in stability checks")
-        p.add_argument("--depth", type=int, default=None,
-                       help="depth bound (or energy bound for brackets)")
-        p.add_argument("--sector", type=int, default=None,
-                       help="restrict to one level-one module")
-        p.add_argument("--gamma", type=str, default=None,
-                       help="root lattice element as comma-separated "
-                            "simple-root coefficients")
-        p.add_argument("--out", type=str, default=None,
-                       help="write the report to a file")
-        p.add_argument("--cocycle-table", action="store_true",
-                       help="append the sign table to the report")
-
-    p_enum = sub.add_parser("enumerate", help="enumerate combinatorial objects")
-    p_enum.add_argument("what", choices=["patterns", "pops", "colored"])
-    common(p_enum)
-    p_enum.add_argument("--m", type=int, default=0,
-                        help="size for colored partitions")
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=[
-        "identities", "dims", "brackets", "translate", "weights",
-        "stability", "mtp", "chain", "basis"])
-    common(p_verify)
-
-    p_dump = sub.add_parser("dump", help="dump the cocycle table or a vector")
-    p_dump.add_argument("what", choices=["cocycle", "vector"])
-    common(p_dump)
-    p_dump.add_argument("--pop", type=str, default=None,
-                        help="POP as JSON {\"rows\":..., \"overlay\":...}")
-    p_dump.add_argument("--k", type=int, default=0, help="shift for the vector")
-
-    ns = parser.parse_args(argv)
-    r = ns.r
-    if r is None:
-        if ns.lam is not None:
-            r = len(ns.lam.split(",")) - 1
-        elif ns.gamma is not None:
-            r = len(ns.gamma.split(","))
-        else:
-            r = 1
-    lam = _parse_lambda(ns.lam, r) if ns.lam is not None else None
-    return RunConfig(
-        command=ns.command,
-        suite=getattr(ns, "suite", None) or getattr(ns, "what", None),
-        r=r, lam=lam, kmax=ns.kmax, depth=ns.depth, sector=ns.sector,
-        gamma=ns.gamma, out=ns.out, cocycle_table=ns.cocycle_table,
-        pop_json=getattr(ns, "pop", None), k=getattr(ns, "k", 0),
-        m=getattr(ns, "m", 0))
+    ns = vars(parser.parse_args(argv))
+    reads = COMMANDS[ns["command"]][ns["suite"]].split() + ["--out"]
+    for flag, dest, _, _ in FLAGS:
+        if dest in ns and flag not in reads:
+            raise UsageError("%s %s does not read %s"
+                             % (ns["command"], ns["suite"], flag))
+    if "lam" in ns:
+        ns.setdefault("r", ns["lam"].count(","))
+        ns["lam"] = _parse_lambda(ns["lam"], ns["r"])
+    if "gamma" in ns:
+        ns.setdefault("r", ns["gamma"].count(",") + 1)
+    return RunConfig(**ns)
 
 
 def _parse_gamma(text, r):
@@ -210,32 +212,10 @@ def suite_identities(cfg):
                     break
             if not ok:
                 break
-        reports.append({"check": "pop_identities",
-                        "input": {"r": r, "lambda": list(seq),
-                                  "pops": n_checked},
-                        "status": "pass" if ok else "fail",
-                        **({"witness": witness} if witness else {})})
+        reports.append(_report(
+            "pop_identities", {"r": r, "lambda": list(seq), "pops": n_checked},
+            ok, witness))
     return reports
-
-
-def gamma_ball(r, norm_bound):
-    """Root lattice elements with (gamma|gamma) <= norm_bound."""
-    out = []
-    box = int(norm_bound)
-    n = r + 1
-
-    def rec(acc):
-        if len(acc) == n:
-            if sum(acc) == 0:
-                fw = FiniteWeight(r, acc)
-                if bilinear(fw, fw) <= norm_bound:
-                    out.append(fw)
-            return
-        for c in range(-box, box + 1):
-            rec(acc + [c])
-
-    rec([])
-    return sorted(set(out), key=lambda w: w.lattice_rep())
 
 
 def suite_dims(cfg):
@@ -243,18 +223,18 @@ def suite_dims(cfg):
     r = cfg.r
     sectors = [cfg.sector] if cfg.sector is not None else list(range(r + 1))
     mmax = cfg.depth if cfg.depth is not None else 4
+    # the root lattice points gamma with (gamma|gamma) <= 8
+    gammas = [c for c, _ in fock.lattice_points(r, 0, 4)]
     for i in sectors:
-        for gq in gamma_ball(r, 8):
+        for c in gammas:
+            gq = FiniteWeight(r, c)
             for m in range(mmax + 1):
                 got = fock.graded_dim(r, i, gq, m)
                 want = colored_partitions(r, m, count_only=True)
-                reports.append({
-                    "check": "graded_dim",
-                    "input": {"r": r, "i": i,
-                              "gamma": list(gq.lattice_rep()), "m": m},
-                    "status": "pass" if got == want else "fail",
-                    **({} if got == want else
-                       {"witness": {"got": got, "want": want}})})
+                reports.append(_report(
+                    "graded_dim", {"r": r, "i": i, "gamma": list(c), "m": m},
+                    got == want,
+                    None if got == want else {"got": got, "want": want}))
     return reports
 
 
@@ -436,11 +416,10 @@ def suite_brackets(cfg):
             al, be, s1, s2, k = bad
             witness = {"al": al.to_json(), "be": be.to_json(),
                        "s1": s1, "s2": s2, "key": repr(keys[k])}
-        reports.append({"check": "brackets",
-                        "input": {"r": r, "sector": i, "emax": emax,
-                                  "instances": n_pairs * len(keys)},
-                        "status": "pass" if bad is None else "fail",
-                        **({"witness": witness} if witness else {})})
+        reports.append(_report(
+            "brackets", {"r": r, "sector": i, "emax": emax,
+                         "instances": n_pairs * len(keys)},
+            bad is None, witness))
     return reports
 
 
@@ -535,9 +514,7 @@ def _translate_failures(r):
 
 def suite_translate(cfg):
     witness = next(_translate_failures(cfg.r), None)
-    return [{"check": "translate", "input": {"r": cfg.r},
-             "status": "pass" if witness is None else "fail",
-             **({"witness": witness} if witness else {})}]
+    return [_report("translate", {"r": cfg.r}, witness is None, witness)]
 
 
 def suite_weights(cfg):
@@ -546,18 +523,16 @@ def suite_weights(cfg):
         pops = enumerate_pops(seq)
         vecs = [clbasis.cl_vector(P, 0) for P in pops]
         ok = clbasis.rank_of(vecs) == len(vecs)
-        reports.append({"check": "cl_basis_independent",
-                        "input": {"r": cfg.r, "lambda": list(seq),
-                                  "count": len(vecs)},
-                        "status": "pass" if ok else "fail"})
+        reports.append(_report(
+            "cl_basis_independent",
+            {"r": cfg.r, "lambda": list(seq), "count": len(vecs)}, ok))
         reps = (clbasis.verify_weight(P, k, v if k == 0 else None)
                 for P, v in zip(pops, vecs)
                 for k in range(min(1, cfg.kmax) + 1))
         bad = next((rep for rep in reps if rep["status"] != "pass"), None)
-        reports.append({"check": "weight_law",
-                        "input": {"r": cfg.r, "lambda": list(seq)},
-                        "status": "pass" if bad is None else "fail",
-                        **({"witness": bad} if bad else {})})
+        reports.append(_report("weight_law",
+                               {"r": cfg.r, "lambda": list(seq)},
+                               bad is None, bad))
     return reports
 
 
@@ -636,8 +611,6 @@ def run(cfg):
             lines.append(json.dumps(rep, sort_keys=True, default=str))
             if rep["status"] != "pass":
                 status = 1
-        if cfg.cocycle_table:
-            lines.append(Cocycle(cfg.r).table_dump().rstrip("\n"))
     elif cfg.command == "dump":
         if cfg.suite == "cocycle":
             lines.append(Cocycle(cfg.r).table_dump().rstrip("\n"))
@@ -654,22 +627,30 @@ def run(cfg):
 
 
 def main(argv=None):
+    """Exit status: 0 if every check passes, 1 if one fails, 2 on bad input
+    and 3 on an internal error, which also prints one JSON error line."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         cfg = parse_config(argv)
         status, lines = run(cfg)
+        text = "\n".join(lines)
+        if cfg.out:
+            with open(cfg.out, "w") as fh:
+                fh.write(text + ("\n" if text else ""))
+        elif text:
+            print(text)
+        return status
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    text = "\n".join(lines)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + ("\n" if text else ""))
-    elif text:
-        print(text)
-    return status
+    except Exception as exc:
+        import traceback  # only on this path: it costs start-up time
+        traceback.print_exc()
+        print(json.dumps({"status": "error", "error": type(exc).__name__,
+                          "message": str(exc)}, sort_keys=True))
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 from .rootdata import (AffineWeight, FiniteWeight, bilinear, fundamental,
                        is_positive_root, is_root, simple_root, theta,
@@ -419,29 +419,36 @@ def weight_space_keys(r, i, gamma_q, m):
     return [FockKey(g, modes) for modes in _mode_multisets(r, m)]
 
 
+def lattice_points(r, i, emax):
+    """The lattice points of the sector-i module with energy at most emax, as
+    (c, energy) in ascending order of c: c runs over the integer
+    (r+1)-tuples with sum c = i and energy (sum c^2 - i) / 2 <= emax."""
+    bound = 2 * emax + i
+
+    def rec(prefix, q, left, k):
+        # q: sum of squares so far; left: what the k remaining entries sum to
+        if k == 1:
+            if q + left * left <= bound:
+                yield prefix + (left,), (q + left * left - i) // 2
+            return
+        # after an entry c the other k - 1 entries sum to left - c, so their
+        # squares sum to at least (left - c)^2 / (k - 1); the c that keep
+        # (k-1)(q + c^2 - bound) + (left - c)^2 <= 0 form one interval
+        disc = (k - 1) * (k * (bound - q) - left * left)
+        if disc < 0:
+            return
+        s = isqrt(disc)
+        for c in range(-((s - left) // k), (left + s) // k + 1):
+            yield from rec(prefix + (c,), q + c * c, left - c, k - 1)
+
+    return rec((), 0, i, r + 1)
+
+
 def enumerate_keys(r, i, emax):
     """All keys of the sector-i module with energy at most emax."""
-    n = r + 1
-    varpi = fundamental(r, i)
-    w2 = bilinear(varpi, varpi)
-    bound = 2 * emax + w2
-    box = int(bound) + 2
-    points = []
-
-    def rec(idx, acc, total):
-        if idx == n:
-            if (total - i) % n == 0 and total == i:
-                fw = FiniteWeight(r, acc)
-                lat2 = bilinear(fw, fw) - w2
-                if lat2 / 2 <= emax:
-                    points.append((fw, int(lat2 / 2)))
-            return
-        for c in range(-box, box + 1):
-            rec(idx + 1, acc + [c], total + c)
-
-    rec(0, [], 0)
     keys = []
-    for fw, e0 in sorted(points, key=lambda t: t[0].lattice_rep()):
+    for c, e0 in lattice_points(r, i, emax):
+        fw = FiniteWeight(r, c)
         for m in range(emax - e0 + 1):
             for modes in _mode_multisets(r, m):
                 keys.append(FockKey(fw, modes))

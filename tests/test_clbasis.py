@@ -8,7 +8,7 @@ from popfock.clbasis import (cl_monomial, cl_vector, highest_vector, in_span,
                              rank_of, rho, rho_column, sign_eps, stable_basis,
                              verify_crucprop, verify_mtp, verify_stability,
                              verify_stabsl2, verify_weight, weyl_span,
-                             _apply_block_fast)
+                             _apply_block_rank1)
 from popfock.fock import (FockKey, FockVector, act_heisenberg, apply_poly,
                           enumerate_keys, vacuum, weight_of)
 from popfock.gtpattern import GTPattern
@@ -148,7 +148,7 @@ def test_fast_block_matches_generic():
                                                {FockKey(g0): Fraction(1)})
                             slow = cl_monomial(al, d, dp, pi).apply(
                                 apply_poly(g, start))
-                            fast = _apply_block_fast(al, d, dp, pi, g0, g)
+                            fast = _apply_block_rank1(al, d, dp, pi, g0, g)
                             assert slow == fast
 
 

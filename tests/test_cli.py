@@ -39,8 +39,62 @@ def test_parse_usage_errors():
     assert main(["enumerate", "pops", "--lambda", "1,2,0"]) == 2
     assert main(["verify", "basis", "--r", "2", "--gamma", "x,1"]) == 2
     assert main(["dump", "vector", "--pop", "{bad"]) == 2
+    assert main(["dump", "cocycle", "--r", "2", "--cocycle-table"]) == 2
     with pytest.raises(SystemExit):
         parse_config(["verify", "nosuchsuite"])
+
+
+# The flags each command reads besides --out, as the README's CLI table
+# lists them, and a value each flag parses.
+READS = {
+    "enumerate patterns": "--r --lambda",
+    "enumerate pops": "--r --lambda --depth",
+    "enumerate colored": "--r --m",
+    "verify identities": "--r --lambda",
+    "verify dims": "--r --depth --sector",
+    "verify brackets": "--r --depth --sector",
+    "verify translate": "--r",
+    "verify weights": "--r --lambda --kmax",
+    "verify stability": "--r --lambda --depth --kmax",
+    "verify mtp": "--r --lambda --depth",
+    "verify chain": "--r --lambda",
+    "verify basis": "--r --gamma --depth --sector",
+    "dump cocycle": "--r",
+    "dump vector": "--pop --k",
+}
+VALUES = {"--r": "1", "--lambda": "1,0", "--kmax": "0", "--depth": "0",
+          "--sector": "0", "--gamma": "0", "--m": "0", "--pop": "{}",
+          "--k": "0", "--out": "report.jsonl"}
+READ_PAIRS = [(command, flag) for command, flags in READS.items()
+              for flag in flags.split() + ["--out"]]
+UNREAD_PAIRS = [(command, flag) for command in READS for flag in VALUES
+                if (command, flag) not in READ_PAIRS]
+
+
+def test_read_flags_are_accepted():
+    assert len(READ_PAIRS) == 49
+    for command, flag in READ_PAIRS:
+        parse_config(command.split() + [flag, VALUES[flag]])
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_PAIRS)
+def test_unread_flag_is_a_usage_error(command, flag, capsys):
+    assert main(command.split() + [flag, VALUES[flag]]) == 2
+    assert capsys.readouterr().err.split()[-1] == flag
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    kernel = fock._root_action_kernel
+
+    def faulty(r, alpha, s, key):
+        return {k: Fraction(c) / 11 for k, c in kernel(r, alpha, s, key).items()}
+
+    monkeypatch.setattr(fock, "_root_action_kernel", faulty)
+    assert main(["verify", "brackets", "--r", "1", "--depth", "1"]) == 3
+    (line,) = capsys.readouterr().out.splitlines()
+    error = json.loads(line)
+    assert error["status"] == "error" and error["error"] == "ArithmeticError"
+    assert "does not divide" in error["message"]
 
 
 def test_rank_inferred_from_input():

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from popfock.fock import (FockKey, FockVector, act_chevalley, act_heisenberg,
                           act_root_vector, apply_poly, enumerate_keys,
-                          expected_weight, graded_dim, mode_monomial, vacuum,
-                          weight_of, weight_space_keys, zero_vector)
-from popfock.partitions import colored_partitions
+                          expected_weight, graded_dim, lattice_points,
+                          mode_monomial, vacuum, weight_of, weight_space_keys,
+                          zero_vector)
 from popfock.rootdata import (AffineWeight, FiniteWeight, all_roots,
                               bilinear, fundamental, simple_root, zero_weight)
 from popfock.cli import bracket_expected
@@ -50,6 +50,35 @@ def reference_energy(key):
     e = (bilinear(gamma, gamma) - bilinear(varpi, varpi)) / 2 + key.mode_sum()
     assert e.denominator == 1
     return int(e)
+
+
+def box_scan_points(r, i, emax):
+    """Slow path for lattice_points: every integer point of a box that holds
+    them all, kept when its sum is i and its energy
+    ((c|c) - (varpi_i|varpi_i)) / 2, through bilinear, is at most emax."""
+    varpi = fundamental(r, i)
+    w2 = bilinear(varpi, varpi)
+    box = int(2 * emax + w2) + 2
+    out = []
+    for c in itertools.product(range(-box, box + 1), repeat=r + 1):
+        if sum(c) == i:
+            fw = FiniteWeight(r, c)
+            e = (bilinear(fw, fw) - w2) / 2
+            if e <= emax:
+                out.append((c, int(e)))
+    return out
+
+
+def test_lattice_points_match_box_scan():
+    # sector 0 up to energy 4 includes the root lattice points with
+    # (gamma|gamma) <= 8 that verify dims runs over
+    for r in (1, 2, 3):
+        for i in range(r + 1):
+            top = 4 if r <= 2 or i == 0 else 3
+            scan = box_scan_points(r, i, top)
+            for emax in range(top + 1):
+                assert list(lattice_points(r, i, emax)) == [
+                    (c, e) for c, e in scan if e <= emax]
 
 
 @st.composite
@@ -214,16 +243,6 @@ def test_graded_dim_examples():
     assert graded_dim(1, 0, zero_weight(1), 2) == 2
     assert graded_dim(2, 0, zero_weight(2), 2) == 5
     assert graded_dim(2, 1, simple_root(2, 1), 0) == 1
-
-
-def test_graded_dim_matches_colored_partitions():
-    from popfock.cli import gamma_ball
-    for r in (1, 2):
-        for i in range(r + 1):
-            for gq in gamma_ball(r, 8):
-                for m in range(5):
-                    assert graded_dim(r, i, gq, m) == \
-                        colored_partitions(r, m, count_only=True)
 
 
 def test_weight_space_keys_consistent():
