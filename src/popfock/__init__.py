@@ -10,7 +10,7 @@ from .partitions import (ColoredPartition, Partition, colored_partitions,
 from .gtpattern import GTPattern, enumerate_patterns
 from .pop import POP, area_identity, depth, enumerate_pops, is_stable, restrict, shift_pop
 from .fock import FockKey, FockVector, act_chevalley, act_heisenberg, act_root_vector, vacuum, weight_of
-from .translate import Cocycle, translate_Q, translate_fundamental, translate_general
+from .translate import Cocycle, translate_Q, translate_amount, translate_amount_inverse
 from .clbasis import cl_monomial, cl_vector, rho, sign_eps, verify_stability
 
 __version__ = "0.1.0"

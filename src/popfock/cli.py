@@ -17,13 +17,13 @@ from math import factorial
 
 from . import clbasis, fock, gtpattern, pop
 from .clbasis import _report
-from .partitions import colored_partitions
+from .partitions import colored_partitions, enumerate_rect
 from .pop import POP, enumerate_pops, is_stable, depth_total
 from .rootdata import (FiniteWeight, all_roots, bilinear, dominant_seqs,
                        fundamental, simple_root, theta, weight_from_seq,
                        zero_weight)
-from .translate import (Cocycle, translate_fundamental, translate_general,
-                        translate_general_inverse, translate_Q)
+from .translate import (Cocycle, translate_amount, translate_amount_inverse,
+                        translate_Q)
 
 
 class UsageError(Exception):
@@ -98,7 +98,8 @@ COMMANDS = {
                "stability": "--r --lambda --depth --kmax",
                "mtp": "--r --lambda --depth",
                "chain": "--r --lambda",
-               "basis": "--r --gamma --depth --sector"},
+               "basis": "--r --gamma --depth --sector",
+               "collapse": "--r --depth"},
     "dump": {"cocycle": "--r",
              "vector": "--pop --k"},
 }
@@ -426,7 +427,8 @@ def suite_brackets(cfg):
 def _translate_failures(r):
     """Witnesses of the translation laws that fail at rank r, in check order:
     inverses, composition constants, conjugation of root vectors and of the
-    Heisenberg modes, the sector-changing operators, and the composites."""
+    Heisenberg modes, the sector-changing operators T_{varpi_i}, and the
+    translations T_{lam - beta} by dominant weights lam shifted by beta."""
     coc = Cocycle(r)
     vecs = [fock.FockVector(r, 0, {k: Fraction(1)})
             for k in fock.enumerate_keys(r, 0, 3)]
@@ -469,42 +471,43 @@ def _translate_failures(r):
                                "a": a, "n": n}
     vac = fock.vacuum(r, 0)
     for i in range(1, r + 1):
-        if translate_fundamental(i, vac, +1) != fock.vacuum(r, i):
+        varpi = fundamental(r, i)
+        if translate_amount(varpi, vac) != fock.vacuum(r, i):
             yield {"prop": "vacuum transport", "i": i}
         for v in vecs[:5]:
-            if translate_fundamental(i, translate_fundamental(i, v, +1),
-                                     -1) != v:
+            w = translate_amount(varpi, v)
+            if translate_amount_inverse(varpi, w) != v:
                 yield {"prop": "fundamental inverse", "i": i}
-        varpi = fundamental(r, i)
         for al in all_roots(r):
             shift = int(bilinear(varpi, al))
             for s in (-1, 0, 1):
                 for v in vecs[:5]:
-                    inner = translate_fundamental(i, v, +1)
-                    lhs = translate_fundamental(
-                        i, fock.act_root_vector(al, s, inner), -1)
+                    inner = translate_amount(varpi, v)
+                    lhs = translate_amount_inverse(
+                        varpi, fock.act_root_vector(al, s, inner))
                     if lhs != fock.act_root_vector(al, s + shift, v):
                         yield {"prop": "fundamental conjugation", "i": i}
     for lam in map(weight_from_seq, _default_lambdas(r)):
         for beta in (zero_weight(r), simple_root(r, 1), -simple_root(r, 1)):
+            x = lam - beta
             for al in betas:
                 for d in (0, 1, 2):
-                    sg = coc.comp_eps(lam - beta - d * al, d * al)
+                    sg = coc.comp_eps(x - d * al, d * al)
                     for v in vecs[:3]:
-                        lhs = translate_general(lam, beta + d * al,
-                                                translate_Q(d * al, v))
-                        if lhs != sg * translate_general(lam, beta, v):
+                        lhs = translate_amount(x - d * al,
+                                               translate_Q(d * al, v))
+                        if lhs != sg * translate_amount(x, v):
                             yield {"prop": "composite composition",
                                    "lambda": lam.to_json(),
                                    "beta": beta.to_json(),
                                    "alpha": al.to_json(), "d": d}
             for al in betas:
-                shift = int(bilinear(lam - beta, al))
+                shift = int(bilinear(x, al))
                 for s in (-1, 0, 1):
                     for v in vecs[:3]:
-                        lhs = translate_general_inverse(
-                            lam, beta, fock.act_root_vector(
-                                -al, s, translate_general(lam, beta, v)))
+                        lhs = translate_amount_inverse(
+                            x, fock.act_root_vector(
+                                -al, s, translate_amount(x, v)))
                         if lhs != fock.act_root_vector(-al, s - shift, v):
                             yield {"prop": "composite conjugation",
                                    "lambda": lam.to_json(),
@@ -565,6 +568,44 @@ def suite_basis(cfg):
     return reports
 
 
+# g in {1, h_1(-1), h_1(-1)^2}, each with its degree m
+_COLLAPSE_G = (({(): 1}, 0), ({((1, 1),): 1}, 1), ({((1, 1), (1, 1)): 1}, 2))
+
+
+def _collapse_instances(alpha, depth):
+    """Arguments of verify_crucprop for the root alpha, by family.
+
+    general: d <= depth, d' <= 2, each g and mu = (d + d') varpi.
+    sl2: mu = d' alpha, so d = d', with g = 1, m = 0, d' <= depth + 2 and
+    |pi| <= min(d', depth)."""
+    general = [(alpha, d, dp, pi, clbasis._mu_with_pairing(alpha, d + dp),
+                g, m)
+               for d in range(depth + 1) for dp in range(3)
+               for g, m in _COLLAPSE_G
+               for pi in enumerate_rect(d, dp) if pi.size() <= d]
+    sl2 = [(alpha, dp, dp, pi, dp * alpha, {(): 1}, 0)
+           for dp in range(depth + 3)
+           for pi in enumerate_rect(dp, dp) if pi.size() <= min(dp, depth)]
+    return {"general": general, "sl2": sl2}
+
+
+def suite_collapse(cfg):
+    """Single-root collapse for alpha_1 and theta: one report per root and
+    family, whose witness is the first failing instance."""
+    reports = []
+    r = cfg.r
+    depth = cfg.depth if cfg.depth is not None else 4
+    for alpha in dict.fromkeys([simple_root(r, 1), theta(r)]):
+        for family, insts in _collapse_instances(alpha, depth).items():
+            reps = (clbasis.verify_crucprop(*args) for args in insts)
+            bad = next((rep for rep in reps if rep["status"] != "pass"), None)
+            reports.append(_report(
+                "collapse", {"r": r, "alpha": alpha.to_json(), "family": family,
+                             "depth": depth, "instances": len(insts)},
+                bad is None, bad))
+    return reports
+
+
 SUITES = {
     "identities": suite_identities,
     "dims": suite_dims,
@@ -575,6 +616,7 @@ SUITES = {
     "mtp": suite_mtp,
     "chain": suite_chain,
     "basis": suite_basis,
+    "collapse": suite_collapse,
 }
 
 
@@ -632,13 +674,19 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         cfg = parse_config(argv)
-        status, lines = run(cfg)
-        text = "\n".join(lines)
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(text + ("\n" if text else ""))
-        elif text:
-            print(text)
+        try:
+            out = open(cfg.out, "w") if cfg.out else sys.stdout
+        except OSError as exc:
+            raise UsageError("cannot write --out %s: %s"
+                             % (cfg.out, exc.strerror))
+        try:
+            status, lines = run(cfg)
+            text = "\n".join(lines)
+            if text:
+                print(text, file=out)
+        finally:
+            if out is not sys.stdout:
+                out.close()
         return status
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -14,8 +14,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .rootdata import (AffineWeight, FiniteWeight, bilinear, fundamental,
-                       is_positive_root, is_root, simple_root, theta,
-                       zero_weight)
+                       is_positive_root, is_root, simple_root, theta)
 from .translate import eps_tilde
 
 
@@ -177,11 +176,6 @@ def vacuum(r, i=0):
     return FockVector(r, i, {FockKey(fundamental(r, i)): Fraction(1)})
 
 
-def mode_monomial(r, modes, coeff=1):
-    """Pure mode monomial applied to the sector-0 vacuum; weight L0 - m delta."""
-    return FockVector(r, 0, {FockKey(zero_weight(r), tuple(modes)): Fraction(coeff)})
-
-
 def act_heisenberg(a, n, v):
     """Action of alpha_a(n): creation for n < 0, annihilation for n > 0,
     diagonal pairing (gamma | alpha_a) for n = 0; level one throughout."""
@@ -226,6 +220,18 @@ def _alpha_simple_coeffs(alpha):
     return tuple(out)
 
 
+def _times_alpha_mode(cs, n, terms):
+    """terms times alpha(-n) = sum_b cs_b alpha_b(-n), cs the simple-root
+    coefficients of alpha; terms is a dict mode-tuple -> coefficient."""
+    out = {}
+    for modes, c in terms.items():
+        for b, cb in enumerate(cs, 1):
+            if cb:
+                nm = tuple(sorted(modes + ((b, n),)))
+                out[nm] = out.get(nm, 0) + c * cb
+    return out
+
+
 @lru_cache(maxsize=None)
 def _creation_terms(r, alpha_coords, degree):
     """Coefficient of z^degree in exp(sum_n alpha(-n) z^n / n): list of
@@ -240,14 +246,8 @@ def _creation_terms(r, alpha_coords, degree):
         base = [dict(p) for p in poly]
         power = {(): Fraction(1)}  # alpha(-n)^j / (n^j j!) expanded
         for j in range(1, degree // n + 1):
-            new_power = {}
-            for modes, c in power.items():
-                for b in range(1, r + 1):
-                    if cs[b - 1] == 0:
-                        continue
-                    nm = tuple(sorted(modes + ((b, n),)))
-                    new_power[nm] = new_power.get(nm, 0) + c * cs[b - 1]
-            power = {m: c / (n * j) for m, c in new_power.items()}
+            power = {m: c / (n * j)
+                     for m, c in _times_alpha_mode(cs, n, power).items()}
             for deg in range(0, degree + 1 - n * j):
                 src = base[deg]
                 if not src:
@@ -309,20 +309,19 @@ def _root_action_kernel(r, alpha, s, key):
     p0 = sum(a * g for a, g in zip(alpha_lat, gamma_lat))
     base = -s - 1 - p0
     sign0 = eta * eps_tilde(alpha_lat, gamma_lat)
-    new_gamma = key.gamma + alpha
-    out = {}
+    # summed by mode multiset first, so each output key is built once
+    by_modes = {}
     for kept, acoef, adeg in _annihilation_terms(alpha_lat, key):
         cdeg = base + adeg
         if cdeg < 0 or acoef == 0:
             continue
+        acoef *= sign0
         for created, ccoef in _creation_terms(r, alpha.coords, cdeg):
-            nk = FockKey(new_gamma, kept + created)
-            val = out.get(nk, 0) + sign0 * acoef * ccoef
-            if val:
-                out[nk] = val
-            elif nk in out:
-                del out[nk]
-    return out
+            modes = tuple(sorted(kept + created))
+            by_modes[modes] = by_modes.get(modes, 0) + acoef * ccoef
+    new_gamma = key.gamma + alpha
+    return {FockKey(new_gamma, modes): c
+            for modes, c in by_modes.items() if c}
 
 
 def act_root_vector(alpha, s, v):
@@ -414,11 +413,6 @@ def graded_dim(r, i, gamma_q, m):
     return len(_mode_multisets(r, m))
 
 
-def weight_space_keys(r, i, gamma_q, m):
-    g = fundamental(r, i) + gamma_q
-    return [FockKey(g, modes) for modes in _mode_multisets(r, m)]
-
-
 def lattice_points(r, i, emax):
     """The lattice points of the sector-i module with energy at most emax, as
     (c, energy) in ascending order of c: c runs over the integer
@@ -454,13 +448,3 @@ def enumerate_keys(r, i, emax):
                 keys.append(FockKey(fw, modes))
     return keys
 
-
-def apply_poly(terms, v):
-    """Apply a polynomial in Heisenberg modes given as {modes tuple: coeff}."""
-    out = zero_vector(v.r, v.sector)
-    for modes, coeff in terms.items():
-        w = v * coeff
-        for a, n in reversed(modes):
-            w = act_heisenberg(a, -n, w)
-        out = out + w
-    return out

@@ -60,10 +60,6 @@ class GTPattern:
         return cls(obj["rows"])
 
 
-def validate(rows):
-    return GTPattern(rows)
-
-
 def diff_d(P, i, j):
     """d_{i,j} = lambda^{j+1}_i - lambda^j_i."""
     return P.entry(i, j + 1) - P.entry(i, j)

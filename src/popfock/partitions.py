@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 
 class Partition:
@@ -182,7 +181,3 @@ def _colored_count(r, m):
             for k in range(n, m + 1):
                 series[k] += series[k - n]
     return series[m]
-
-
-def rect_count(d, dprime):
-    return comb(d + dprime, d)

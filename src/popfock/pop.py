@@ -10,7 +10,7 @@ from . import gtpattern
 from .gtpattern import GTPattern
 from .partitions import (Partition, colored_partitions, enumerate_rect,
                          enumerate_rect_by_size, fits_rectangle)
-from .rootdata import bilinear, weight_from_seq
+from .rootdata import bilinear, seq_from_fundamental, theta, weight_from_seq
 
 
 class POP:
@@ -236,73 +236,27 @@ def enumerate_pops(lamseq, weight=None, depth_filter=None):
     return out
 
 
-def enumerate_pops_bruteforce(lamseq, weight=None, depth_filter=None):
-    """Independent enumerator used as an oracle: brute force over entry boxes."""
-    lamseq = tuple(int(x) for x in lamseq)
-    n = len(lamseq)
-    r = n - 1
-    patterns = []
-
-    def rec_rows(rows_bottom_up):
-        below = rows_bottom_up[-1]
-        if len(below) == 1:
-            try:
-                patterns.append(GTPattern(list(reversed(rows_bottom_up))))
-            except ValueError:
-                pass
-            return
-        j = len(below) - 1
-        lo = min(below)
-        hi = max(below)
-
-        def rec_row(row):
-            if len(row) == j:
-                ok = all(below[i] >= row[i] >= below[i + 1] for i in range(j))
-                if ok:
-                    rec_rows(rows_bottom_up + [row])
-                return
-            for v in range(lo, hi + 1):
-                rec_row(row + [v])
-
-        rec_row([])
-
-    rec_rows([list(lamseq)])
-    out = []
-    for pattern in patterns:
-        if weight is not None and gtpattern.weight(pattern) != weight:
-            continue
-        st = gtpattern.stats(pattern)
-        cells = sorted(st["d"], key=lambda ij: (ij[1], ij[0]))
-        stacks = [[]]
-        for (i, j) in cells:
-            opts = enumerate_rect(st["d"][(i, j)], st["dprime"][(i, j)])
-            stacks = [acc + [pi] for acc in stacks for pi in opts]
-        for acc in stacks:
-            P = POP(pattern, dict(zip(cells, acc)))
-            if depth_filter is not None and depth_total(P) != depth_filter:
-                continue
-            out.append(P)
-    return out
-
-
 def shift_bijection_check(lam, mu, d, k):
     """Check |P(lam + k theta)_{mu, d}| = #(r-colored partitions of d) and the
-    diagonal bound d_{l,l} >= k on every member; requires k >= d."""
+    diagonal bound d_{l,l} >= k on every member; requires k >= d.  Returns the
+    POPs and a report whose witness names the first violation, if any."""
     if k < d:
         raise ValueError("need k >= d")
-    from .rootdata import seq_from_fundamental, theta
     r = lam.r
     lamk = lam + k * theta(r)
     seq = seq_from_fundamental(r, lamk.fundamental_coeffs())
     pops = enumerate_pops(seq, weight=mu, depth_filter=d)
     expected = colored_partitions(r, d, count_only=True)
-    ok = len(pops) == expected
     witness = None
+    if len(pops) != expected:
+        witness = {"reason": "cardinality", "got": len(pops),
+                   "expected": expected}
     for P in pops:
         bad = [l for l in range(1, r + 1) if P.d(l, l) < k]
         if bad:
-            ok = False
-            witness = {"pop": P.to_json(), "bad_diagonals": bad}
+            witness = {"reason": "diagonal bound", "pop": P.to_json(),
+                       "bad_diagonals": bad}
             break
-    return {"check": "shift_bijection", "count": len(pops), "expected": expected,
-            "status": "pass" if ok else "fail", "witness": witness}
+    return pops, {"check": "shift_bijection", "count": len(pops),
+                  "expected": expected,
+                  "status": "fail" if witness else "pass", "witness": witness}

@@ -1,14 +1,15 @@
-"""Sign table on the root lattice, translation operators on the lattice Fock
-model, and the fundamental-weight translations between sectors.
+"""Sign table on the root lattice and the translation operators T_x of the
+lattice Fock model, for x in the root lattice and for any weight.
 
-Two sign objects live here.  The bimultiplicative table eps (cocycle_eps) is
+Two sign objects live here.  The bimultiplicative table eps (Cocycle.eps) is
 the fixed reference table: eps(a_i, a_i) = -1, eps(a_i, a_j) = (-1)^(a_i|a_j)
 for i > j, +1 for i < j, extended bimultiplicatively, with a first-argument
 fundamental-weight part dropped.  The translation operators themselves compose
 with a second, non-bimultiplicative cocycle comp_eps, which is the one the
 normalization sign of the basis vectors must use: the two differ (for example
 on the pair (a, a) for a root a), and the stability checks fail under the
-table.  comp_eps is determined by the diagonal sign function d_sign below.
+table.  comp_eps is determined by the diagonal sign function _d_sign_lat
+below.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
-from .rootdata import FiniteWeight, fundamental, simple_root
+from .rootdata import fundamental, simple_root
 
 
 def eps_tilde(x_lat, y_lat):
@@ -93,11 +94,6 @@ class Cocycle:
         return (_d_sign_lat(xd) * _d_sign_lat(yl) * _d_sign_lat(xy)
                 * eps_tilde(yl, xd))
 
-    def d_sign(self, beta):
-        if beta.class_index() != 0:
-            raise ValueError("d_sign is defined on the root lattice")
-        return _d_sign_lat(beta.lattice_rep())
-
     def table(self):
         """Matrix of eps on pairs of simple roots, row-major."""
         return [[self.eps(simple_root(self.r, a), simple_root(self.r, b))
@@ -111,11 +107,6 @@ class Cocycle:
 
     def table_hash(self):
         return hashlib.sha256(self.table_dump().encode()).hexdigest()
-
-
-def cocycle_eps(beta, beta_prime):
-    """Module-level convenience for the table value."""
-    return Cocycle(beta.r).eps(beta, beta_prime)
 
 
 def translate_Q(beta, v):
@@ -136,104 +127,24 @@ def translate_Q(beta, v):
     return v.lattice_shift(beta, sign_fn)
 
 
-class SignPropagator:
-    """Signs of the sector-changing translation for one fundamental weight.
-
-    The sign of each lattice point is determined from vacuum -> vacuum by
-    propagating the intertwining law through Chevalley actions; propagation is
-    path-independent and agrees with the closed form eps~(gamma, varpi_i),
-    which is what sign() returns.  verify() re-derives the table by actual
-    propagation and aborts on any inconsistency.
-    """
-
-    def __init__(self, r, i):
-        if not 0 <= i <= r:
-            raise ValueError("sector index out of range")
-        self.r = r
-        self.i = i
-        self._varpi_lat = fundamental(r, i).lattice_rep()
-        self._memo = {}
-        self.consistent = None
-
-    def sign(self, gamma):
-        if gamma not in self._memo:
-            if gamma.class_index() != 0:
-                raise ValueError("sign propagation is seeded on the root lattice")
-            self._memo[gamma] = eps_tilde(gamma.lattice_rep(), self._varpi_lat)
-        return self._memo[gamma]
-
-    def verify(self, step_signs):
-        """Check path independence given the per-step sign ratios.
-
-        step_signs: iterable of (gamma, mu, ratio) meaning the propagated sign
-        at gamma + mu equals ratio times the sign at gamma.  Aborts on clash.
-        """
-        derived = {}
-        seed = FiniteWeight(self.r, (0,) * (self.r + 1))
-        derived[seed] = 1
-        pending = list(step_signs)
-        progress = True
-        while progress:
-            progress = False
-            for gamma, mu, ratio in pending:
-                if gamma in derived:
-                    target = gamma + mu
-                    val = derived[gamma] * ratio
-                    if target in derived:
-                        if derived[target] != val:
-                            self.consistent = False
-                            raise AssertionError(
-                                "sign propagation inconsistent at %r" % (target,))
-                    else:
-                        derived[target] = val
-                        progress = True
-        for gamma, val in derived.items():
-            if self.sign(gamma) != val:
-                self.consistent = False
-                raise AssertionError("propagated sign differs from table at %r"
-                                     % (gamma,))
-        self.consistent = True
-        return derived
-
-
-def translate_fundamental(i, v, direction=+1):
-    """Sector-changing operator for varpi_i: vacuum(0) <-> vacuum(i).
-
-    direction +1 maps sector 0 to sector i, -1 is its inverse.  i = 0 is the
-    identity.  Conjugation shifts the t-exponent of x_alpha (x) t^s by the
-    pairing with varpi_i, with no extra sign.
-    """
-    r = v.r
-    if not 0 <= i <= r:
-        raise ValueError("fundamental index out of range")
-    if i == 0:
-        return v
-    varpi = fundamental(r, i)
-    varpi_lat = varpi.lattice_rep()
-    if direction == +1:
-        if v.sector != 0:
-            raise ValueError("sector mismatch: expected sector 0")
-        return v.lattice_shift(varpi, lambda g: eps_tilde(g, varpi_lat))
-    if direction == -1:
-        if v.sector != i:
-            raise ValueError("sector mismatch: expected sector %d" % i)
-
-        def sign_fn(gamma_lat):
-            shifted = tuple(a - b for a, b in zip(gamma_lat, varpi_lat))
-            return eps_tilde(shifted, varpi_lat)
-
-        return v.lattice_shift(-varpi, sign_fn)
-    raise ValueError("direction must be +1 or -1")
-
-
 def translate_amount(x, v):
     """T_x for any weight x: T_{varpi_c} T_{x - varpi_c} with c the coset of x;
-    maps sector 0 to sector c."""
+    maps sector 0 to sector c.
+
+    T_{varpi_c} is the sector-changing operator e^g (x) u ->
+    eps~(g, varpi_c) e^{g + varpi_c} (x) u, the identity for c = 0.  It takes
+    the sector-0 vacuum to the sector-c vacuum, and conjugation by it shifts
+    the t-exponent of x_alpha (x) t^s by (varpi_c | alpha) with no extra sign.
+    """
     if v.sector != 0:
         raise ValueError("sector mismatch: expected sector 0")
     c = x.class_index()
-    q_part = x - fundamental(x.r, c)
-    return translate_fundamental(c, translate_Q(q_part, v), +1)
+    varpi = fundamental(x.r, c)
+    v = translate_Q(x - varpi, v)
+    if c == 0:
+        return v
+    varpi_lat = varpi.lattice_rep()
+    return v.lattice_shift(varpi, lambda g: eps_tilde(g, varpi_lat))
 
 
 def translate_amount_inverse(x, v):
@@ -241,21 +152,9 @@ def translate_amount_inverse(x, v):
     c = x.class_index()
     if v.sector != c:
         raise ValueError("sector mismatch: expected sector %d" % c)
-    q_part = x - fundamental(x.r, c)
-    return translate_Q(-q_part, translate_fundamental(c, v, -1))
-
-
-def translate_general(lam, beta, v):
-    """T_{lam - beta} := T_{varpi_{i_lam}} T_{lam - beta - varpi_{i_lam}},
-    a linear isomorphism from sector 0 to sector i_lam."""
-    from .rootdata import residue_class
-    i = residue_class(lam)
-    x = lam - beta
-    if x.class_index() != i or (x - fundamental(lam.r, i)).class_index() != 0:
-        raise ValueError("lam - beta - varpi_i must lie in the root lattice")
-    return translate_amount(x, v)
-
-
-def translate_general_inverse(lam, beta, v):
-    """Inverse of translate_general for the same (lam, beta)."""
-    return translate_amount_inverse(lam - beta, v)
+    varpi = fundamental(x.r, c)
+    if c:
+        varpi_lat = varpi.lattice_rep()
+        v = v.lattice_shift(-varpi, lambda g: eps_tilde(
+            tuple(a - b for a, b in zip(g, varpi_lat)), varpi_lat))
+    return translate_Q(varpi - x, v)

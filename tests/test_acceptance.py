@@ -1,22 +1,18 @@
 """Acceptance suite: the ten exact (tolerance-zero) criteria.
 
-Criteria c01-c08 and c10 run the `popfock verify` suites with their default
+Every criterion runs the `popfock verify` suites with their default
 parameters, so the CLI and these tests share one definition of each check.
 The tests add what a suite cannot check about itself: the pinned workload
 counts and the independent oracles (the local Weyl module dimension and the
-colored-partition count).  c09 has no suite and calls the library directly.
-One summary line is printed per criterion.
+colored-partition count).  One summary line is printed per criterion.
 """
 
 import json
 import time
-from fractions import Fraction
 from math import comb
 
 from popfock.cli import parse_config, run
-from popfock.clbasis import verify_crucprop, verify_stabsl2
-from popfock.partitions import Partition, colored_partitions, _partitions_of
-from popfock.rootdata import fundamental, simple_root, theta
+from popfock.partitions import colored_partitions
 
 C03_ARGV = ["verify", "brackets", "--r", "2", "--depth", "3"]
 
@@ -115,38 +111,10 @@ def test_c08_intermediate_form():
 
 def test_c09_single_root_collapse():
     t0 = time.time()
-    total = 0
-    for r in (1, 2):
-        alphas = [simple_root(r, 1)] + ([theta(r)] if r == 2 else [])
-        for al in alphas:
-            for d in range(5):
-                for size in range(d + 1):
-                    for parts in _partitions_of(size, size if size else 1):
-                        pi = Partition(parts)
-                        if len(pi.parts) > d or any(p > d for p in pi.parts):
-                            continue
-                        for ke in (1, 2):
-                            rep = verify_stabsl2(al, d, pi, ke)
-                            assert rep["status"] == "pass", rep
-                            total += 1
-            lat = al.lattice_rep()
-            iw = lat.index(1) + 1
-            gs = [({(): Fraction(1)}, 0), ({((1, 1),): Fraction(1)}, 1),
-                  ({((1, 1), (1, 1)): Fraction(1)}, 2)]
-            for d in range(5):
-                for dp in range(3):
-                    mu = (d + dp) * fundamental(r, iw)
-                    for g, m in gs:
-                        for size in range(d + 1):
-                            for parts in _partitions_of(size,
-                                                        size if size else 1):
-                                pi = Partition(parts)
-                                if len(pi.parts) > d or any(p > dp
-                                                            for p in pi.parts):
-                                    continue
-                                rep = verify_crucprop(al, d, dp, pi, mu, g, m)
-                                assert rep["status"] == "pass", rep
-                                total += 1
+    total = sum(rep["input"]["instances"]
+                for r in (1, 2)
+                for rep in _verify(["verify", "collapse", "--r", str(r)]))
+    assert total == 528
     _announce(9, "single-root collapse (%d)" % total, t0)
 
 

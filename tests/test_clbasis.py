@@ -5,17 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from popfock import clbasis
 from popfock.clbasis import (cl_monomial, cl_vector, highest_vector, in_span,
-                             rank_of, rho, rho_column, sign_eps, stable_basis,
+                             rank_of, rho, sign_eps, stable_basis,
                              verify_crucprop, verify_mtp, verify_stability,
-                             verify_stabsl2, verify_weight, weyl_span,
-                             _apply_block_rank1)
-from popfock.fock import (FockKey, FockVector, act_heisenberg, apply_poly,
-                          enumerate_keys, vacuum, weight_of)
+                             verify_weight, weyl_span, _apply_block_rank1)
+from popfock.fock import (FockKey, FockVector, act_heisenberg, enumerate_keys,
+                          vacuum, weight_of)
 from popfock.gtpattern import GTPattern
 from popfock.partitions import Partition
 from popfock.pop import POP, enumerate_pops, is_stable
 from popfock.rootdata import (AffineWeight, fundamental, simple_root, theta,
                               weight_from_seq, zero_weight)
+from oracles import apply_poly, rho_column
 
 
 def P_(rows, overlay=None):
@@ -152,20 +152,18 @@ def test_fast_block_matches_generic():
                             assert slow == fast
 
 
-def test_verify_stabsl2_examples():
-    a = simple_root(1, 1)
-    assert verify_stabsl2(a, 1, Partition(()), 1)["status"] == "pass"
-    assert verify_stabsl2(a, 1, Partition((1,)), 1)["status"] == "pass"
-    assert verify_stabsl2(theta(2), 2, Partition((1, 1)), 1)["status"] == "pass"
-    with pytest.raises(ValueError):
-        verify_stabsl2(a, 1, Partition((2,)), 1)
-
-
 def test_verify_crucprop_examples():
     a = simple_root(1, 1)
     mu = 2 * fundamental(1, 1)
     rep = verify_crucprop(a, 1, 1, Partition(()), mu, {(): 1}, 0)
     assert rep["status"] == "pass"
+    # the single-root collapse: mu = d alpha, d = d', g = 1, m = 0
+    for al, d, parts in [(a, 1, ()), (a, 2, ()), (a, 1, (1,)), (a, 2, (1,)),
+                         (theta(2), 2, (1, 1)), (theta(2), 3, (1, 1))]:
+        rep = verify_crucprop(al, d, d, Partition(parts), d * al, {(): 1}, 0)
+        assert rep["status"] == "pass" and "witness" not in rep
+    with pytest.raises(ValueError):
+        verify_crucprop(a, 1, 1, Partition((2,)), a, {(): 1}, 0)
     # d < |pi| + m: weight part only
     rep = verify_crucprop(a, 1, 1, Partition((1,)), mu, {((1, 1),): 1}, 1)
     assert rep["status"] == "pass" and rep["witness"]["scope"] == "weight only"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from popfock import clbasis, fock
+from popfock import clbasis, fock, pop
 from popfock.cli import (RunConfig, UsageError, _KeyIndex, _scaled,
                          bracket_expected, main, parse_config, run)
 from popfock.rootdata import all_roots, zero_weight
@@ -59,6 +59,7 @@ READS = {
     "verify mtp": "--r --lambda --depth",
     "verify chain": "--r --lambda",
     "verify basis": "--r --gamma --depth --sector",
+    "verify collapse": "--r --depth",
     "dump cocycle": "--r",
     "dump vector": "--pop --k",
 }
@@ -72,7 +73,7 @@ UNREAD_PAIRS = [(command, flag) for command in READS for flag in VALUES
 
 
 def test_read_flags_are_accepted():
-    assert len(READ_PAIRS) == 49
+    assert len(READ_PAIRS) == 52
     for command, flag in READ_PAIRS:
         parse_config(command.split() + [flag, VALUES[flag]])
 
@@ -97,6 +98,43 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert "does not divide" in error["message"]
 
 
+def test_collapse_catches_a_sign_fault(monkeypatch):
+    word = clbasis._neg_word_on_extremal
+
+    def faulty(alpha, exps, gamma0, coeff):
+        v = word(alpha, exps, gamma0, coeff)
+        return -v if len(exps) == 3 else v
+
+    monkeypatch.setattr(clbasis, "_neg_word_on_extremal", faulty)
+    status, lines = run(parse_config(["verify", "collapse", "--r", "1",
+                                      "--depth", "2"]))
+    reports = [json.loads(line) for line in lines]
+    assert status == 1 and len(reports) == 2
+    bad = [rep for rep in reports if rep["status"] == "fail"]
+    assert bad and all(rep["witness"]["check"] == "crucprop" for rep in bad)
+
+
+def test_basis_bound_violation_is_a_failed_report(monkeypatch, capsys):
+    # unshifted POP sets break the diagonal bound d_{l,l} >= k
+    monkeypatch.setattr(pop, "theta", zero_weight)
+    assert main(["verify", "basis", "--r", "1", "--depth", "1"]) == 1
+    out = capsys.readouterr().out
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 8
+    bad = [rep["witness"] for rep in reports if rep["status"] == "fail"]
+    assert bad and all(w["reason"] == "diagonal bound" and w["pop"]
+                       and w["bad_diagonals"] for w in bad)
+
+
+def test_unwritable_out_is_bad_input_before_the_run(monkeypatch, capsys,
+                                                    tmp_path):
+    monkeypatch.setattr("popfock.cli.run", None)  # the run must not start
+    path = tmp_path / "nodir" / "x.txt"
+    assert main(["dump", "cocycle", "--r", "1", "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write --out")
+
+
 def test_rank_inferred_from_input():
     assert parse_config(["enumerate", "patterns", "--lambda", "2,1,0"]).r == 2
     assert parse_config(["verify", "basis", "--gamma", "1,0,0"]).r == 3
@@ -109,7 +147,7 @@ def test_readme_examples_run():
     readme = (ROOT / "README.md").read_text()
     examples = [shlex.split(line, comments=True)[1:]
                 for line in readme.splitlines() if line.startswith("popfock ")]
-    assert len(examples) == 9
+    assert len(examples) == 10
     # the README's bracket sweep is c03, which the acceptance suite runs
     assert C03_ARGV in examples
     for argv in examples:
@@ -282,6 +320,7 @@ def test_every_suite_runs_clean_rank1():
         "mtp": ["--lambda", "2,0"],
         "chain": ["--lambda", "1,0"],
         "basis": ["--depth", "1"],
+        "collapse": ["--depth", "1"],
     }
     for suite, extra in quick.items():
         status, lines = run(parse_config(["verify", suite, "--r", "1"] + extra))

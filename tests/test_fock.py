@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from popfock.fock import (FockKey, FockVector, act_chevalley, act_heisenberg,
-                          act_root_vector, apply_poly, enumerate_keys,
-                          expected_weight, graded_dim, lattice_points,
-                          mode_monomial, vacuum, weight_of, weight_space_keys,
+                          act_root_vector, enumerate_keys, expected_weight,
+                          graded_dim, lattice_points, vacuum, weight_of,
                           zero_vector)
 from popfock.rootdata import (AffineWeight, FiniteWeight, all_roots,
                               bilinear, fundamental, simple_root, zero_weight)
 from popfock.cli import bracket_expected
+from oracles import apply_poly, weight_space_keys
 
 
 def unit(key):
@@ -353,7 +353,7 @@ def test_apply_poly():
     g = {((1, 1), (2, 2)): Fraction(3), (): Fraction(1, 2)}
     w = apply_poly(g, v)
     assert len(w.terms) == 2
-    m = mode_monomial(2, ((1, 1), (2, 2)), 3)
+    m = FockVector(2, 0, {FockKey(zero_weight(2), ((1, 1), (2, 2))): 3})
     assert w == m + Fraction(1, 2) * v
 
 

@@ -1,27 +1,26 @@
 import pytest
 
 from popfock.gtpattern import (GTPattern, diff_d, diff_dprime,
-                               enumerate_patterns, shift, stats, validate,
-                               weight)
+                               enumerate_patterns, shift, stats, weight)
 from popfock.rootdata import zero_weight
 
 
 def test_validate_examples():
-    P = validate([[1], [2, 0], [2, 1, 0]])
+    P = GTPattern([[1], [2, 0], [2, 1, 0]])
     assert P.r == 2
     with pytest.raises(ValueError):
-        validate([[2], [1, 0]])
-    validate([[0], [0, 0], [0, 0, 0]])
+        GTPattern([[2], [1, 0]])
+    GTPattern([[0], [0, 0], [0, 0, 0]])
 
 
 def test_validate_reports_position():
     with pytest.raises(ValueError) as exc:
-        validate([[2], [1, 0]])
+        GTPattern([[2], [1, 0]])
     assert "i=1, j=1" in str(exc.value)
 
 
 def test_stats_example_rank2():
-    P = validate([[1], [2, 0], [2, 1, 0]])
+    P = GTPattern([[1], [2, 0], [2, 1, 0]])
     st = stats(P)
     assert st["wt"] == zero_weight(2)  # (1,1,1) is the zero weight
     assert st["d"] == {(1, 1): 1, (1, 2): 0, (2, 2): 1}
@@ -31,14 +30,14 @@ def test_stats_example_rank2():
 
 
 def test_stats_example_rank1():
-    P = validate([[1], [2, 0]])
+    P = GTPattern([[1], [2, 0]])
     st = stats(P)
     assert st["wt"] == zero_weight(1)
     assert st["tri_area"] == 1 and st["trap_area"] == 1
 
 
 def test_stats_constant_pattern():
-    P = validate([[2], [2, 0], [2, 0, 0]])
+    P = GTPattern([[2], [2, 0], [2, 0, 0]])
     st = stats(P)
     assert all(v == 0 for v in st["d"].values())
     assert st["tri_area"] == 0
@@ -52,8 +51,8 @@ def test_trap_minus_tri_nonneg():
 
 
 def test_shift_example():
-    P = validate([[1], [2, 0], [2, 1, 0]])
-    assert shift(P, 1) == validate([[2], [4, 0], [4, 2, 0]])
+    P = GTPattern([[1], [2, 0], [2, 1, 0]])
+    assert shift(P, 1) == GTPattern([[2], [4, 0], [4, 2, 0]])
     assert shift(P, 0) == P
     assert diff_d(shift(P, 1), 1, 1) == 2
 
@@ -94,5 +93,5 @@ def test_enumerate_unique_and_valid():
 
 
 def test_json_roundtrip():
-    P = validate([[1], [2, 0]])
+    P = GTPattern([[1], [2, 0]])
     assert GTPattern.from_json(P.to_json()) == P

@@ -5,7 +5,7 @@ import pytest
 from popfock.partitions import (ColoredPartition, Partition,
                                 colored_partitions, complement,
                                 enumerate_rect, enumerate_rect_by_size,
-                                fits_rectangle, rect_count)
+                                fits_rectangle)
 
 
 def series_coefficient(r, m):
@@ -68,7 +68,7 @@ def test_enumerate_rect_counts():
     for d in range(7):
         for dp in range(7):
             got = enumerate_rect(d, dp)
-            assert len(got) == comb(d + dp, d) == rect_count(d, dp)
+            assert len(got) == comb(d + dp, d)
             assert len(set(got)) == len(got)
 
 

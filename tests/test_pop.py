@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 from popfock.gtpattern import GTPattern
 from popfock.partitions import Partition, colored_partitions
 from popfock.pop import (POP, area_identity, depth, depth_total,
-                         enumerate_pops, enumerate_pops_bruteforce,
-                         invariant_set, invariant_slice, is_stable, restrict,
-                         shift_bijection_check, shift_pop)
+                         enumerate_pops, invariant_set, invariant_slice,
+                         is_stable, restrict, shift_bijection_check, shift_pop)
 from popfock.rootdata import (FiniteWeight, fundamental, simple_root,
                               zero_weight)
+from oracles import enumerate_pops_bruteforce
 
 
 def P_(rows, overlay=None):
@@ -187,12 +187,14 @@ def test_filters():
 
 
 def test_shift_bijection_examples():
-    rep = shift_bijection_check(zero_weight(1), zero_weight(1), 1, 1)
+    _, rep = shift_bijection_check(zero_weight(1), zero_weight(1), 1, 1)
     assert rep["status"] == "pass" and rep["count"] == 1
-    rep = shift_bijection_check(zero_weight(1), zero_weight(1), 0, 0)
+    _, rep = shift_bijection_check(zero_weight(1), zero_weight(1), 0, 0)
     assert rep["status"] == "pass" and rep["count"] == 1
-    rep = shift_bijection_check(zero_weight(2), zero_weight(2), 2, 2)
-    assert rep["count"] == 5 == rep["expected"]
+    pops, rep = shift_bijection_check(zero_weight(2), zero_weight(2), 2, 2)
+    assert rep["count"] == 5 == rep["expected"] == len(pops)
+    assert pops == enumerate_pops((4, 2, 0), weight=zero_weight(2),
+                                  depth_filter=2)
     assert rep["expected"] == colored_partitions(2, 2, count_only=True)
     with pytest.raises(ValueError):
         shift_bijection_check(zero_weight(1), zero_weight(1), 2, 1)
@@ -202,14 +204,15 @@ def test_shift_bijection_diagonal_bound_needs_large_lambda():
     # over lambda = 0 the counts match but the diagonal bound genuinely fails:
     # the depth-2 set is not yet full at shift 0, so not every member of the
     # shifted set is a shift image
-    rep = shift_bijection_check(zero_weight(2), zero_weight(2), 2, 2)
+    _, rep = shift_bijection_check(zero_weight(2), zero_weight(2), 2, 2)
     assert rep["status"] == "fail"
+    assert rep["witness"]["reason"] == "diagonal bound"
     assert rep["witness"]["bad_diagonals"]
     # over a regular lambda the depth-2 set is already full and the bound holds
     lam = fundamental(2, 1) + fundamental(2, 2)
-    rep = shift_bijection_check(lam, zero_weight(2), 2, 2)
+    _, rep = shift_bijection_check(lam, zero_weight(2), 2, 2)
     assert rep["status"] == "pass" and rep["count"] == 5
-    rep = shift_bijection_check(lam, zero_weight(2), 2, 3)
+    _, rep = shift_bijection_check(lam, zero_weight(2), 2, 3)
     assert rep["status"] == "pass" and rep["count"] == 5
 
 

@@ -7,10 +7,9 @@ from popfock.fock import (FockVector, act_chevalley, act_heisenberg,
                           act_root_vector, enumerate_keys, vacuum, weight_of)
 from popfock.rootdata import (all_roots, bilinear, fundamental,
                               simple_root, theta, zero_weight)
-from popfock.translate import (Cocycle, SignPropagator, cocycle_eps,
-                               eps_tilde, translate_Q, translate_amount,
-                               translate_fundamental, translate_general,
-                               translate_general_inverse)
+from popfock.translate import (Cocycle, eps_tilde, translate_Q,
+                               translate_amount, translate_amount_inverse)
+from oracles import SignPropagator
 
 
 def units(r, sector=0, emax=2):
@@ -25,7 +24,6 @@ def test_table_examples():
     assert coc.eps(a1, a1) == -1
     assert coc.eps(zero_weight(2), a2) == 1
     assert coc.eps(a1 + a2, a1) == coc.eps(a1, a1) * coc.eps(a2, a1)
-    assert cocycle_eps(a1, a1) == -1
 
 
 def test_table_matches_design_rule():
@@ -161,12 +159,15 @@ def test_adjoint_on_cartan_zero_mode():
 def test_fundamental_vacuum_and_inverse():
     for r in (1, 2):
         for i in range(r + 1):
-            assert translate_fundamental(i, vacuum(r, 0), +1) == vacuum(r, i)
+            varpi = fundamental(r, i)
+            assert translate_amount(varpi, vacuum(r, 0)) == vacuum(r, i)
             for v in units(r)[:8]:
-                w = translate_fundamental(i, v, +1)
-                assert translate_fundamental(i, w, -1) == v
+                w = translate_amount(varpi, v)
+                assert translate_amount_inverse(varpi, w) == v
     with pytest.raises(ValueError):
-        translate_fundamental(1, vacuum(2, 2), +1)
+        translate_amount(fundamental(2, 1), vacuum(2, 2))
+    with pytest.raises(ValueError):
+        translate_amount_inverse(fundamental(2, 1), vacuum(2, 2))
 
 
 def test_fundamental_weight_transport():
@@ -175,7 +176,7 @@ def test_fundamental_weight_transport():
             varpi = fundamental(r, i)
             for v in units(r)[:8]:
                 nu = weight_of(v)
-                got = weight_of(translate_fundamental(i, v, +1))
+                got = weight_of(translate_amount(varpi, v))
                 assert got.finite == nu.finite + varpi
                 assert got.delta == nu.delta - bilinear(nu.finite, varpi)
 
@@ -184,11 +185,11 @@ def test_fundamental_intertwining_table():
     # conjugation sends e_i to e_i t, e_0 to x_{-theta}, fixes other e_p
     for r in (1, 2):
         for i in range(1, r + 1):
+            varpi = fundamental(r, i)
             for p in range(r + 1):
                 for v in units(r)[:5]:
-                    inner = act_chevalley(p, "e",
-                                          translate_fundamental(i, v, +1))
-                    lhs = translate_fundamental(i, inner, -1)
+                    inner = act_chevalley(p, "e", translate_amount(varpi, v))
+                    lhs = translate_amount_inverse(varpi, inner)
                     if p == i:
                         rhs = act_root_vector(simple_root(r, i), 1, v)
                     elif p == 0:
@@ -225,15 +226,16 @@ def test_sign_propagator_path_independence():
 
 
 def test_translate_general_well_defined():
-    # the same amount through different (lam, beta) pairs gives one operator
+    # T_x for a general weight x: T_beta on the root lattice, and
+    # T_{varpi_c} T_{x - varpi_c} on the coset c
     r = 2
-    lam1 = fundamental(r, 1)
-    lam2 = fundamental(r, 1) + theta(r)
+    varpi = fundamental(r, 1)
     for v in units(r)[:6]:
-        a = translate_general(lam1, zero_weight(r), v)
-        b = translate_general(lam2, theta(r), v)
-        assert a == b
-        assert translate_general_inverse(lam1, zero_weight(r), a) == v
+        for b in (zero_weight(r), theta(r), simple_root(r, 1) - theta(r)):
+            assert translate_amount(b, v) == translate_Q(b, v)
+            a = translate_amount(varpi + b, v)
+            assert a == translate_amount(varpi, translate_Q(b, v))
+            assert translate_amount_inverse(varpi + b, a) == v
 
 
 def test_translate_general_examples():
@@ -241,16 +243,17 @@ def test_translate_general_examples():
     v0 = vacuum(r, 0)
     assert translate_amount(zero_weight(r), v0) == v0
     lam = fundamental(r, 1) + fundamental(r, 2)
-    w = translate_general(lam, zero_weight(r), v0)
+    w = translate_amount(lam, v0)
     nu = weight_of(w)
     assert nu.finite == lam
     with pytest.raises(ValueError):
-        translate_general(lam, fundamental(r, 1), v0)  # beta not in Q
+        translate_amount(lam, vacuum(r, 1))
     with pytest.raises(ValueError):
-        translate_general(lam, zero_weight(r), vacuum(r, 1))
+        translate_amount_inverse(fundamental(r, 1), v0)
 
 
 def test_translate_general_composition_and_conjugation():
+    # T_{lam - beta} for dominant lam and beta in Q
     for r in (1, 2):
         coc = Cocycle(r)
         doms = [zero_weight(r), fundamental(r, 1), 2 * fundamental(r, 1)]
@@ -260,21 +263,21 @@ def test_translate_general_composition_and_conjugation():
         alphas = [simple_root(r, a) for a in range(1, r + 1)] + [theta(r)]
         for lam in doms:
             for beta in betas:
+                x = lam - beta
                 for al in alphas:
                     for d in (0, 1, 2):
-                        sg = coc.comp_eps(lam - beta - d * al, d * al)
+                        sg = coc.comp_eps(x - d * al, d * al)
                         for v in units(r)[:3]:
-                            lhs = translate_general(
-                                lam, beta + d * al, translate_Q(d * al, v))
-                            assert lhs == sg * translate_general(lam, beta, v)
-                x = lam - beta
+                            lhs = translate_amount(
+                                x - d * al, translate_Q(d * al, v))
+                            assert lhs == sg * translate_amount(x, v)
                 for al in alphas:
                     sh = int(bilinear(x, al))
                     for s in (-1, 0, 1):
                         for v in units(r)[:3]:
-                            lhs = translate_general_inverse(
-                                lam, beta, act_root_vector(
-                                    -al, s, translate_general(lam, beta, v)))
+                            lhs = translate_amount_inverse(
+                                x, act_root_vector(
+                                    -al, s, translate_amount(x, v)))
                             assert lhs == act_root_vector(-al, s - sh, v)
 
 
