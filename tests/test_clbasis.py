@@ -152,18 +152,22 @@ def test_fast_block_matches_generic():
                             assert slow == fast
 
 
-def test_verify_crucprop_examples():
-    a = simple_root(1, 1)
-    mu = 2 * fundamental(1, 1)
-    rep = verify_crucprop(a, 1, 1, Partition(()), mu, {(): 1}, 0)
-    assert rep["status"] == "pass"
+def test_verify_stabsl2_examples():
     # the single-root collapse: mu = d alpha, d = d', g = 1, m = 0
+    a = simple_root(1, 1)
     for al, d, parts in [(a, 1, ()), (a, 2, ()), (a, 1, (1,)), (a, 2, (1,)),
                          (theta(2), 2, (1, 1)), (theta(2), 3, (1, 1))]:
         rep = verify_crucprop(al, d, d, Partition(parts), d * al, {(): 1}, 0)
         assert rep["status"] == "pass" and "witness" not in rep
     with pytest.raises(ValueError):
         verify_crucprop(a, 1, 1, Partition((2,)), a, {(): 1}, 0)
+
+
+def test_verify_crucprop_examples():
+    a = simple_root(1, 1)
+    mu = 2 * fundamental(1, 1)
+    rep = verify_crucprop(a, 1, 1, Partition(()), mu, {(): 1}, 0)
+    assert rep["status"] == "pass"
     # d < |pi| + m: weight part only
     rep = verify_crucprop(a, 1, 1, Partition((1,)), mu, {((1, 1),): 1}, 1)
     assert rep["status"] == "pass" and rep["witness"]["scope"] == "weight only"
