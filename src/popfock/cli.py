@@ -294,25 +294,22 @@ _BRACKET_MODES = range(-2, 3)
 
 
 class _KeyIndex(dict):
-    """FockKey -> index, numbering keys in the order they are first met."""
+    """Engine key -> index, numbering keys in the order they are first met."""
 
     def __missing__(self, key):
         n = self[key] = len(self)
         return n
 
 
-def _scaled(terms, scale, index):
-    """{FockKey: coefficient} as {key index: scale * coefficient}; raises
-    unless every scaled coefficient is an integer."""
-    out = {}
-    for key, c in terms.items():
-        c *= scale
-        if c.denominator != 1:
-            raise ArithmeticError("coefficient %s of %r has a denominator "
-                                  "that does not divide %d"
-                                  % (c / scale, key, scale))
-        out[index[key]] = c.numerator
-    return out
+def _scaled(image, scale, index):
+    """An engine image (L, {key: int}) as {key index: scale / L * int};
+    raises unless L divides scale."""
+    den, terms = image
+    if scale % den:
+        raise ArithmeticError("kernel denominator %d does not divide %d"
+                              % (den, scale))
+    f = scale // den
+    return {index[key]: f * c for key, c in terms.items()}
 
 
 def _bracket_rhs(r, al, be, table, heis, scale, nkeys):
@@ -351,33 +348,35 @@ def _bracket_failures(r, emax, keys):
     [x_al (x) t^s1, x_be (x) t^s2] = bracket_expected on the unit vectors of
     the distinct keys `keys` (one sector, energy <= emax), in sweep order.
 
-    Each root action is computed once, by the uncached kernel, into integer
-    tables: table[alpha, s][k] is the image of the key with index k as
-    {key index: L * coefficient}, L = (emax + 4)!.  A creation term of degree
-    c has a denominator dividing c!, and no image the sweep needs has energy
-    above emax + 4.  For |s| <= 2 the tables cover the keys of `keys` and
-    every key their images reach; for 2 < |s| <= 4 (the right-hand side)
+    Each root action is computed once, by the uncached engine kernel, into
+    integer tables: table[alpha, s][k] is the image of the key with index k
+    as {key index: L * coefficient}, L = (emax + 4)!.  A kernel image is over
+    c! for its largest creation degree c, and no image the sweep needs has
+    energy above emax + 4.  For |s| <= 2 the tables cover the keys of `keys`
+    and every key their images reach; for 2 < |s| <= 4 (the right-hand side)
     only `keys`.  An instance holds iff L^2 (x_al x_be - x_be x_al) k equals
     L^2 RHS(k), term by term."""
     roots = all_roots(r)
     scale = factorial(emax + 4)
-    index = _KeyIndex((key, n) for n, key in enumerate(keys))
+    tkeys = [(key.gamma.lattice_rep(), key.modes) for key in keys]
+    index = _KeyIndex((key, n) for n, key in enumerate(tkeys))
 
     def images(alpha, s, ks):
-        return [_scaled(fock._root_action_kernel(r, alpha, s, key), scale,
+        alpha_lat = alpha.lattice_rep()
+        return [_scaled(fock._root_action_kernel(alpha_lat, s, key), scale,
                         index) for key in ks]
 
-    table = {(alpha, s): images(alpha, s, keys)
+    table = {(alpha, s): images(alpha, s, tkeys)
              for s in _BRACKET_MODES for alpha in roots}
     reached = list(index)[len(keys):]
     for (alpha, s), rows in table.items():
         rows.extend(images(alpha, s, reached))
     for n in (-4, -3, 3, 4):
         for alpha in roots:
-            table[alpha, n] = images(alpha, n, keys)
+            table[alpha, n] = images(alpha, n, tkeys)
     square = scale * scale
-    heis = {(a, n): [_scaled(fock.act_heisenberg(
-        a, n, fock.FockVector(r, key.sector, {key: 1})).terms, square, index)
+    heis = {(a, n): [_scaled(fock._to_engine(fock.act_heisenberg(
+        a, n, fock.FockVector(r, key.sector, {key: 1}))), square, index)
         for key in keys] for a in range(1, r + 1) for n in range(-4, 5)}
     for al in roots:
         for be in roots:

@@ -9,12 +9,14 @@ is a finite exact computation over the rationals.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from itertools import accumulate
+from math import comb, factorial, gcd, isqrt, lcm
 
 from .rootdata import (AffineWeight, FiniteWeight, bilinear, fundamental,
-                       is_positive_root, is_root, simple_root, theta)
+                       is_root, simple_root, theta)
 from .translate import eps_tilde
 
 
@@ -209,15 +211,10 @@ def act_heisenberg(a, n, v):
     return FockVector(r, v.sector, terms)
 
 
-def _alpha_simple_coeffs(alpha):
-    """Coefficients of alpha in the simple-root basis via partial sums."""
-    lat = alpha.lattice_rep()
-    acc = 0
-    out = []
-    for c in lat[:-1]:
-        acc += c
-        out.append(acc)
-    return tuple(out)
+def _alpha_simple_coeffs(alpha_lat):
+    """Coefficients of alpha in the simple-root basis via partial sums of
+    its lattice tuple."""
+    return tuple(accumulate(alpha_lat[:-1]))
 
 
 def _times_alpha_mode(cs, n, terms):
@@ -232,55 +229,40 @@ def _times_alpha_mode(cs, n, terms):
     return out
 
 
+# The exact engine.  Inside it a key is the tuple (lattice tuple, modes), the
+# lattice tuple being the representative whose entries sum to the sector, and
+# a vector is (den, {key: int}), the coefficients being the ints over den.
+
+
 @lru_cache(maxsize=None)
-def _creation_terms(r, alpha_coords, degree):
-    """Coefficient of z^degree in exp(sum_n alpha(-n) z^n / n): list of
-    (mode tuple, Fraction) in the monomial mode basis."""
-    alpha = FiniteWeight(r, alpha_coords)
-    cs = _alpha_simple_coeffs(alpha)
-    # polynomial in z, coefficients are dicts mode-tuple -> Fraction
-    poly = [dict() for _ in range(degree + 1)]
-    poly[0][()] = Fraction(1)
+def _creation_terms(cs, degree):
+    """degree! times the coefficient of z^degree in exp(sum_n alpha(-n) z^n
+    / n), cs the simple-root coefficients of alpha: a dict mode tuple -> int.
+
+    From c P_c = sum_{n=1}^{c} alpha(-n) P_{c-n} for the coefficients P_c,
+    c! P_c = sum_n (c-1)!/(c-n)! alpha(-n) (c-n)! P_{c-n}."""
+    if degree == 0:
+        return {(): 1}
+    out = {}
     for n in range(1, degree + 1):
-        # multiply by exp(alpha(-n) z^n / n), truncated at z^degree
-        base = [dict(p) for p in poly]
-        power = {(): Fraction(1)}  # alpha(-n)^j / (n^j j!) expanded
-        for j in range(1, degree // n + 1):
-            power = {m: c / (n * j)
-                     for m, c in _times_alpha_mode(cs, n, power).items()}
-            for deg in range(0, degree + 1 - n * j):
-                src = base[deg]
-                if not src:
-                    continue
-                dst = poly[deg + n * j]
-                for m1, c1 in src.items():
-                    for m2, c2 in power.items():
-                        nm = tuple(sorted(m1 + m2))
-                        prev = dst.get(nm, 0)
-                        val = prev + c1 * c2
-                        if val:
-                            dst[nm] = val
-                        elif nm in dst:
-                            del dst[nm]
-    return tuple((m, c) for m, c in sorted(poly[degree].items()) if c)
+        f = factorial(degree - 1) // factorial(degree - n)
+        lower = _creation_terms(cs, degree - n)
+        for m, c in _times_alpha_mode(cs, n, lower).items():
+            out[m] = out.get(m, 0) + f * c
+    return {m: c for m, c in out.items() if c}
 
 
-def _annihilation_terms(alpha_lat, key):
-    """Expansion of the annihilation exponential against the key's modes:
-    list of (kept modes tuple, coefficient, annihilated degree)."""
-    pairs = []
-    for (b, n), mult in sorted(key.mode_multiplicities().items()):
-        c = alpha_lat[b - 1] - alpha_lat[b]  # (alpha | alpha_b)
-        pairs.append(((b, n), mult, -c))
+def _annihilation_terms(alpha_lat, modes):
+    """Expansion of the annihilation exponential against sorted modes: list
+    of (kept modes tuple, int coefficient, annihilated degree)."""
     results = [((), 1, 0)]
-    for (b, n), mult, c in pairs:
+    for (b, n), mult in sorted(Counter(modes).items()):
+        c = alpha_lat[b] - alpha_lat[b - 1]  # -(alpha | alpha_b)
         new = []
         for kept, coeff, deg in results:
-            for j in range(mult + 1):
-                if j and c == 0:
-                    break
-                w = coeff * comb(mult, j) * (c ** j if j else 1)
-                new.append((kept + ((b, n),) * (mult - j), w, deg + j * n))
+            for j in range(mult + 1 if c else 1):
+                new.append((kept + ((b, n),) * (mult - j),
+                            coeff * comb(mult, j) * c ** j, deg + j * n))
         results = new
     return results
 
@@ -288,40 +270,79 @@ def _annihilation_terms(alpha_lat, key):
 _ROOT_ACTION_CACHE = {}
 
 
-def _act_root_on_key(r, alpha, s, key):
-    """x_alpha (x) t^s applied to a single key; cached."""
-    ck = (alpha, s, key)
-    hit = _ROOT_ACTION_CACHE.get(ck)
-    if hit is None:
-        hit = _ROOT_ACTION_CACHE[ck] = _root_action_kernel(r, alpha, s, key)
-    return hit
-
-
-def _root_action_kernel(r, alpha, s, key):
-    """x_alpha (x) t^s applied to a single key, uncached: {FockKey: Fraction}.
-
-    A coefficient's denominator divides c! for the largest creation degree c
-    it uses, and c is at most the energy of the output key."""
-    eta = 1 if is_positive_root(alpha) else -1
-    alpha_lat = alpha.lattice_rep()
-    gamma_lat = key.gamma.lattice_rep()
+def _root_action_kernel(alpha_lat, s, key):
+    """x_alpha (x) t^s on one engine key, uncached: (L, {key: int}), the
+    image being the ints over L = c!, c the largest creation degree used."""
+    lat, modes = key
     # (alpha | gamma) on lattice representatives: exact because sum(alpha) = 0
-    p0 = sum(a * g for a, g in zip(alpha_lat, gamma_lat))
-    base = -s - 1 - p0
-    sign0 = eta * eps_tilde(alpha_lat, gamma_lat)
-    # summed by mode multiset first, so each output key is built once
+    base = -s - 1 - sum(a * g for a, g in zip(alpha_lat, lat))
+    sign0 = eps_tilde(alpha_lat, lat)
+    if alpha_lat.index(1) > alpha_lat.index(-1):  # negative root
+        sign0 = -sign0
+    terms = [(kept, acoef, base + adeg)
+             for kept, acoef, adeg in _annihilation_terms(alpha_lat, modes)
+             if base + adeg >= 0]
+    if not terms:
+        return 1, {}
+    L = factorial(max(cdeg for _, _, cdeg in terms))
+    cs = _alpha_simple_coeffs(alpha_lat)
     by_modes = {}
-    for kept, acoef, adeg in _annihilation_terms(alpha_lat, key):
-        cdeg = base + adeg
-        if cdeg < 0 or acoef == 0:
-            continue
-        acoef *= sign0
-        for created, ccoef in _creation_terms(r, alpha.coords, cdeg):
-            modes = tuple(sorted(kept + created))
-            by_modes[modes] = by_modes.get(modes, 0) + acoef * ccoef
-    new_gamma = key.gamma + alpha
-    return {FockKey(new_gamma, modes): c
-            for modes, c in by_modes.items() if c}
+    for kept, acoef, cdeg in terms:
+        acoef *= sign0 * (L // factorial(cdeg))
+        for created, ccoef in _creation_terms(cs, cdeg).items():
+            nm = tuple(sorted(kept + created))
+            by_modes[nm] = by_modes.get(nm, 0) + acoef * ccoef
+    new_lat = tuple(a + g for a, g in zip(alpha_lat, lat))
+    return L, {(new_lat, m): c for m, c in by_modes.items() if c}
+
+
+def _act_root(alpha_lat, s, vec, div=1):
+    """x_alpha (x) t^s divided by div, on an engine vector; cached per key."""
+    den, terms = vec
+    images = []
+    for key, c in terms.items():
+        ck = (alpha_lat, s, key)
+        hit = _ROOT_ACTION_CACHE.get(ck)
+        if hit is None:
+            hit = _ROOT_ACTION_CACHE[ck] = _root_action_kernel(*ck)
+        images.append((c, hit))
+    # every L is a factorial, so the largest is a common multiple
+    top = max((L for _, (L, _) in images), default=1)
+    out = {}
+    for c, (L, image) in images:
+        c *= top // L
+        for k, x in image.items():
+            out[k] = out.get(k, 0) + c * x
+    out = {k: x for k, x in out.items() if x}
+    den *= top * div
+    g = gcd(den, *out.values())
+    return den // g, {k: x // g for k, x in out.items()}
+
+
+def _to_engine(v):
+    """FockVector -> engine vector."""
+    den = lcm(*(c.denominator for c in v.terms.values()))
+    return den, {(k.gamma.lattice_rep(), k.modes):
+                 c.numerator * (den // c.denominator)
+                 for k, c in v.terms.items()}
+
+
+def apply_word(factors, v):
+    """prod (x_alpha (x) t^s)^m / m! on a vector, factors (alpha, s, m) given
+    in the order they act, the j-th of the m actions dividing by j: one
+    conversion in and out of the engine, whose output keys are rebuilt as
+    validated FockKeys."""
+    vec = _to_engine(v)
+    for alpha, s, mult in factors:
+        if not is_root(alpha):
+            raise ValueError("alpha is not a root")
+        alpha_lat = alpha.lattice_rep()
+        for j in range(1, mult + 1):
+            vec = _act_root(alpha_lat, s, vec, j)
+    den, terms = vec
+    return FockVector(v.r, v.sector, {
+        FockKey(FiniteWeight(v.r, lat), modes): Fraction(c, den)
+        for (lat, modes), c in terms.items()})
 
 
 def act_root_vector(alpha, s, v):
@@ -332,17 +353,7 @@ def act_root_vector(alpha, s, v):
     root vectors carrying the opposite normalization so the brackets of the
     matrix realization hold on the nose.
     """
-    if not is_root(alpha):
-        raise ValueError("alpha is not a root")
-    terms = {}
-    for key, coeff in v.terms.items():
-        for nk, c in _act_root_on_key(v.r, alpha, s, key).items():
-            val = terms.get(nk, 0) + coeff * c
-            if val:
-                terms[nk] = val
-            elif nk in terms:
-                del terms[nk]
-    return FockVector(v.r, v.sector, terms)
+    return apply_word(((alpha, s, 1),), v)
 
 
 def act_chevalley(p, kind, v):

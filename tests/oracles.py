@@ -1,16 +1,23 @@
 """Slow, independent implementations that the tests compare the library
 against: brute-force POP enumeration, the column-grouped basis operator, the
-sign propagation of the sector-changing translations, and direct
-constructions of Heisenberg polynomials and weight-space keys."""
+sign propagation of the sector-changing translations, direct constructions
+of Heisenberg polynomials and weight-space keys, and the root action on
+FockKeys with Fraction coefficients."""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
 
 from popfock.clbasis import OperatorWord, cl_monomial
-from popfock.fock import (FockKey, _mode_multisets, act_heisenberg,
+from popfock.fock import (FockKey, FockVector, _alpha_simple_coeffs,
+                          _mode_multisets, _times_alpha_mode, act_heisenberg,
                           zero_vector)
 from popfock import gtpattern
 from popfock.gtpattern import GTPattern
 from popfock.partitions import enumerate_rect
 from popfock.pop import POP, depth_total
-from popfock.rootdata import FiniteWeight, fundamental, pos_root
+from popfock.rootdata import (FiniteWeight, fundamental, is_positive_root,
+                              is_root, pos_root)
 from popfock.translate import eps_tilde
 
 
@@ -149,3 +156,129 @@ def apply_poly(terms, v):
             w = act_heisenberg(a, -n, w)
         out = out + w
     return out
+
+
+# The root action as the library computed it before its integer engine: one
+# FockKey and one Fraction per produced term.
+
+@lru_cache(maxsize=None)
+def _creation_terms(r, alpha_coords, degree):
+    """Coefficient of z^degree in exp(sum_n alpha(-n) z^n / n): list of
+    (mode tuple, Fraction) in the monomial mode basis."""
+    alpha = FiniteWeight(r, alpha_coords)
+    cs = _alpha_simple_coeffs(alpha.lattice_rep())
+    # polynomial in z, coefficients are dicts mode-tuple -> Fraction
+    poly = [dict() for _ in range(degree + 1)]
+    poly[0][()] = Fraction(1)
+    for n in range(1, degree + 1):
+        # multiply by exp(alpha(-n) z^n / n), truncated at z^degree
+        base = [dict(p) for p in poly]
+        power = {(): Fraction(1)}  # alpha(-n)^j / (n^j j!) expanded
+        for j in range(1, degree // n + 1):
+            power = {m: c / (n * j)
+                     for m, c in _times_alpha_mode(cs, n, power).items()}
+            for deg in range(0, degree + 1 - n * j):
+                src = base[deg]
+                if not src:
+                    continue
+                dst = poly[deg + n * j]
+                for m1, c1 in src.items():
+                    for m2, c2 in power.items():
+                        nm = tuple(sorted(m1 + m2))
+                        prev = dst.get(nm, 0)
+                        val = prev + c1 * c2
+                        if val:
+                            dst[nm] = val
+                        elif nm in dst:
+                            del dst[nm]
+    return tuple((m, c) for m, c in sorted(poly[degree].items()) if c)
+
+
+def _annihilation_terms(alpha_lat, key):
+    """Expansion of the annihilation exponential against the key's modes:
+    list of (kept modes tuple, coefficient, annihilated degree)."""
+    pairs = []
+    for (b, n), mult in sorted(key.mode_multiplicities().items()):
+        c = alpha_lat[b - 1] - alpha_lat[b]  # (alpha | alpha_b)
+        pairs.append(((b, n), mult, -c))
+    results = [((), 1, 0)]
+    for (b, n), mult, c in pairs:
+        new = []
+        for kept, coeff, deg in results:
+            for j in range(mult + 1):
+                if j and c == 0:
+                    break
+                w = coeff * comb(mult, j) * (c ** j if j else 1)
+                new.append((kept + ((b, n),) * (mult - j), w, deg + j * n))
+        results = new
+    return results
+
+
+_ROOT_ACTION_CACHE = {}
+
+
+def _act_root_on_key(r, alpha, s, key):
+    """x_alpha (x) t^s applied to a single key; cached."""
+    ck = (alpha, s, key)
+    hit = _ROOT_ACTION_CACHE.get(ck)
+    if hit is None:
+        hit = _ROOT_ACTION_CACHE[ck] = _root_action_kernel(r, alpha, s, key)
+    return hit
+
+
+def _root_action_kernel(r, alpha, s, key):
+    """x_alpha (x) t^s applied to a single key, uncached: {FockKey: Fraction}.
+
+    A coefficient's denominator divides c! for the largest creation degree c
+    it uses, and c is at most the energy of the output key."""
+    eta = 1 if is_positive_root(alpha) else -1
+    alpha_lat = alpha.lattice_rep()
+    gamma_lat = key.gamma.lattice_rep()
+    # (alpha | gamma) on lattice representatives: exact because sum(alpha) = 0
+    p0 = sum(a * g for a, g in zip(alpha_lat, gamma_lat))
+    base = -s - 1 - p0
+    sign0 = eta * eps_tilde(alpha_lat, gamma_lat)
+    # summed by mode multiset first, so each output key is built once
+    by_modes = {}
+    for kept, acoef, adeg in _annihilation_terms(alpha_lat, key):
+        cdeg = base + adeg
+        if cdeg < 0 or acoef == 0:
+            continue
+        acoef *= sign0
+        for created, ccoef in _creation_terms(r, alpha.coords, cdeg):
+            modes = tuple(sorted(kept + created))
+            by_modes[modes] = by_modes.get(modes, 0) + acoef * ccoef
+    new_gamma = key.gamma + alpha
+    return {FockKey(new_gamma, modes): c
+            for modes, c in by_modes.items() if c}
+
+
+def act_root_vector(alpha, s, v):
+    """Action of the root vector x_alpha (x) t^s on a vector.
+
+    alpha must be a root; the output lies in the weight space shifted by
+    alpha + s delta.  Signs follow the fixed lattice sign table, with negative
+    root vectors carrying the opposite normalization so the brackets of the
+    matrix realization hold on the nose.
+    """
+    if not is_root(alpha):
+        raise ValueError("alpha is not a root")
+    terms = {}
+    for key, coeff in v.terms.items():
+        for nk, c in _act_root_on_key(v.r, alpha, s, key).items():
+            val = terms.get(nk, 0) + coeff * c
+            if val:
+                terms[nk] = val
+            elif nk in terms:
+                del terms[nk]
+    return FockVector(v.r, v.sector, terms)
+
+
+def apply_word(word, v):
+    """An OperatorWord applied factor by factor through act_root_vector."""
+    for root, expo, mult in reversed(word.factors):
+        for _ in range(mult):
+            v = act_root_vector(root, expo, v)
+        if mult > 1:
+            v = v * Fraction(1, factorial(mult))
+    return v

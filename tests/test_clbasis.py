@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from popfock import clbasis
+from popfock.cli import parse_config, run
 from popfock.clbasis import (cl_monomial, cl_vector, highest_vector, in_span,
                              rank_of, rho, sign_eps, stable_basis,
                              verify_crucprop, verify_mtp, verify_stability,
@@ -15,6 +16,7 @@ from popfock.partitions import Partition
 from popfock.pop import POP, enumerate_pops, is_stable
 from popfock.rootdata import (AffineWeight, fundamental, simple_root, theta,
                               weight_from_seq, zero_weight)
+import oracles
 from oracles import apply_poly, rho_column
 
 
@@ -173,6 +175,23 @@ def test_verify_crucprop_examples():
     assert rep["status"] == "pass" and rep["witness"]["scope"] == "weight only"
     with pytest.raises(ValueError):
         verify_crucprop(a, 1, 0, Partition(()), mu, {(): 1}, 0)
+
+
+def test_c05_vectors_match_fraction_oracle(monkeypatch):
+    built = []
+    build = clbasis.cl_vector
+
+    def recorded(P, k=0):
+        v = build(P, k)
+        built.append((P, k, v))
+        return v
+
+    monkeypatch.setattr(clbasis, "cl_vector", recorded)
+    status, _ = run(parse_config(["verify", "weights", "--r", "2"]))
+    assert status == 0 and len(built) == 44
+    for P, k, v in built:
+        w = highest_vector(weight_from_seq(P.bounding_seq()), k)
+        assert v == sign_eps(P, k) * oracles.apply_word(rho(P, k), w)
 
 
 def test_linear_algebra_helpers():

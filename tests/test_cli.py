@@ -5,7 +5,6 @@ import shlex
 import subprocess
 import sys
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,7 @@ from popfock import clbasis, fock, pop
 from popfock.cli import (RunConfig, UsageError, _KeyIndex, _scaled,
                          bracket_expected, main, parse_config, run)
 from popfock.rootdata import all_roots, zero_weight
+import oracles
 from test_acceptance import C03_ARGV
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,8 +87,9 @@ def test_unread_flag_is_a_usage_error(command, flag, capsys):
 def test_internal_error_exits_3(monkeypatch, capsys):
     kernel = fock._root_action_kernel
 
-    def faulty(r, alpha, s, key):
-        return {k: Fraction(c) / 11 for k, c in kernel(r, alpha, s, key).items()}
+    def faulty(alpha_lat, s, key):
+        den, image = kernel(alpha_lat, s, key)
+        return 11 * den, image  # 11 divides no (emax + 4)! here
 
     monkeypatch.setattr(fock, "_root_action_kernel", faulty)
     assert main(["verify", "brackets", "--r", "1", "--depth", "1"]) == 3
@@ -166,10 +167,14 @@ def test_run_starts_with_cold_caches():
     assert run(parse_config(small)) == first
     assert (len(fock._ROOT_ACTION_CACHE),
             fock._creation_terms.cache_info().currsize) == sizes
+    # the cache holds the engine's integer images of tuple keys
+    for (_, _, key), (den, image) in fock._ROOT_ACTION_CACHE.items():
+        assert type(key[0]) is tuple and type(den) is int
+        assert all(type(c) is int for c in image.values())
 
 
 def _first_slow_bracket_failure(r, i, emax):
-    """The first failing bracket instance found by act_root_vector and
+    """The first failing bracket instance found by fock.act_root_vector and
     bracket_expected on unit vectors, in the sweep's loop order."""
     keys = fock.enumerate_keys(r, i, emax)
     roots = all_roots(r)
@@ -189,9 +194,13 @@ def _first_slow_bracket_failure(r, i, emax):
 def test_bracket_sweep_fault_matches_slow_path(monkeypatch):
     kernel = fock._root_action_kernel
 
-    def faulty(r, alpha, s, key):
-        out = kernel(r, alpha, s, key)
-        return {k: -c for k, c in out.items()} if s == 1 else out
+    def faulty(alpha_lat, s, key):
+        den, image = kernel(alpha_lat, s, key)
+        return den, ({k: -c for k, c in image.items()} if s == 1 else image)
+
+    def oracle_faulty(alpha, s, v):
+        w = oracles.act_root_vector(alpha, s, v)
+        return -w if s == 1 else w
 
     monkeypatch.setattr(fock, "_root_action_kernel", faulty)
     monkeypatch.setattr(fock, "_ROOT_ACTION_CACHE", {})
@@ -199,6 +208,8 @@ def test_bracket_sweep_fault_matches_slow_path(monkeypatch):
         ["verify", "brackets", "--r", "2", "--depth", "1"]))
     reports = [json.loads(line) for line in lines]
     assert status == 1 and len(reports) == 3
+    # the slow path runs on the Fraction oracle with the same fault
+    monkeypatch.setattr(fock, "act_root_vector", oracle_faulty)
     for rep in reports:
         assert rep["status"] == "fail"
         assert rep["witness"] == _first_slow_bracket_failure(
@@ -206,10 +217,10 @@ def test_bracket_sweep_fault_matches_slow_path(monkeypatch):
 
 
 def test_bracket_sweep_rejects_a_foreign_denominator():
-    key = fock.FockKey(zero_weight(1))
-    assert _scaled({key: Fraction(5, 3)}, 6, _KeyIndex()) == {0: 10}
+    key = ((0, 0), ())
+    assert _scaled((3, {key: 5}), 6, _KeyIndex()) == {0: 10}
     with pytest.raises(ArithmeticError):
-        _scaled({key: Fraction(1, 7)}, 6, _KeyIndex())
+        _scaled((7, {key: 1}), 6, _KeyIndex())
 
 
 def test_weights_suite_builds_each_vector_once(monkeypatch):

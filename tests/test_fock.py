@@ -1,17 +1,20 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from popfock.fock import (FockKey, FockVector, act_chevalley, act_heisenberg,
-                          act_root_vector, enumerate_keys, expected_weight,
-                          graded_dim, lattice_points, vacuum, weight_of,
-                          zero_vector)
+                          act_root_vector, apply_word, enumerate_keys,
+                          expected_weight, graded_dim, lattice_points, vacuum,
+                          weight_of, zero_vector)
 from popfock.rootdata import (AffineWeight, FiniteWeight, all_roots,
                               bilinear, fundamental, simple_root, zero_weight)
 from popfock.cli import bracket_expected
+from popfock.clbasis import OperatorWord
+import oracles
 from oracles import apply_poly, weight_space_keys
 
 
@@ -116,6 +119,35 @@ def test_integer_pairings_match_bilinear(r_coords):
         assert sum(x * y for x, y in zip(a, g)) == bilinear(alpha, gamma)
         for b in range(1, r + 1):
             assert a[b - 1] - a[b] == bilinear(alpha, simple_root(r, b))
+
+
+@lru_cache(maxsize=None)
+def keys_up_to_4(r, i):
+    return enumerate_keys(r, i, 4)
+
+
+@st.composite
+def root_word_cases(draw):
+    """A root, s in -3..3, a multiplicity and a vector of one to three keys
+    of energy <= 4 with rational coefficients, at rank 1..3."""
+    r = draw(st.integers(1, 3))
+    i = draw(st.integers(0, r))
+    keys = draw(st.lists(st.sampled_from(keys_up_to_4(r, i)), min_size=1,
+                         max_size=3, unique=True))
+    coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=6),
+                           min_size=len(keys), max_size=len(keys)))
+    alpha = draw(st.sampled_from(all_roots(r)))
+    return (alpha, draw(st.integers(-3, 3)), draw(st.integers(1, 2)),
+            FockVector(r, i, dict(zip(keys, coeffs))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_word_cases())
+def test_engine_matches_fraction_oracle(case):
+    alpha, s, mult, v = case
+    assert act_root_vector(alpha, s, v) == oracles.act_root_vector(alpha, s, v)
+    assert apply_word([(alpha, s, mult)], v) == oracles.apply_word(
+        OperatorWord([(alpha, s, mult)]), v)
 
 
 def test_highest_weight_relations():

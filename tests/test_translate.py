@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popfock.fock import (FockVector, act_chevalley, act_heisenberg,
                           act_root_vector, enumerate_keys, vacuum, weight_of)
@@ -10,6 +11,7 @@ from popfock.rootdata import (all_roots, bilinear, fundamental,
 from popfock.translate import (Cocycle, eps_tilde, translate_Q,
                                translate_amount, translate_amount_inverse)
 from oracles import SignPropagator
+from test_fock import random_keys
 
 
 def units(r, sector=0, emax=2):
@@ -279,6 +281,25 @@ def test_translate_general_composition_and_conjugation():
                                 x, act_root_vector(
                                     -al, s, translate_amount(x, v)))
                             assert lhs == act_root_vector(-al, s - sh, v)
+
+
+def root_lattice(r):
+    """x in Q from its simple-root coefficients in -3..3."""
+    return st.lists(st.integers(-3, 3), min_size=r, max_size=r).map(
+        lambda cs: sum((c * simple_root(r, a) for a, c in enumerate(cs, 1)),
+                       zero_weight(r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_translate_Q_inverse_and_composition(data):
+    key = data.draw(random_keys())
+    r = key.gamma.r
+    x, y = data.draw(root_lattice(r)), data.draw(root_lattice(r))
+    v = FockVector(r, key.sector, {key: Fraction(1)})
+    assert translate_Q(-x, translate_Q(x, v)) == v
+    assert (translate_Q(x, translate_Q(y, v))
+            == Cocycle(r).comp_eps(x, y) * translate_Q(x + y, v))
 
 
 def test_table_dump_and_hash():
