@@ -10,19 +10,15 @@ fails at k = 2, so the plain-product reading is untenable.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
-from math import factorial
-
-from . import fock, translate
-from .fock import (FockVector, apply_word, expected_weight, vacuum,
-                   weight_of, zero_vector)
+from . import translate
+from .fock import (FockKey, FockVector, apply_word, vacuum, weight_of,
+                   zero_vector)
 from .partitions import colored_partitions, fits_rectangle
 from .pop import (depth, depth_total, enumerate_pops, is_stable,
                   shift_bijection_check)
-from .rootdata import (AffineWeight, FiniteWeight, bilinear, dominant_seqs,
+from .rootdata import (AffineWeight, Lambda, bilinear, dominant_seqs,
                        fundamental, pos_root, residue_class,
-                       seq_from_fundamental, simple_root, theta,
+                       seq_from_fundamental, theta, translate_weight,
                        weight_from_seq, weight_in_irrep, zero_weight)
 from .translate import Cocycle
 
@@ -179,6 +175,12 @@ def _report(check, inp, ok, witness=None):
     return rep
 
 
+def _expected_weight(r, i, gamma, m):
+    """t_gamma(Lambda_i) - m delta, gamma in the root lattice."""
+    return (translate_weight(gamma, Lambda(r, i))
+            - AffineWeight(zero_weight(r), 0, m))
+
+
 def verify_weight(P, k=0, v=None):
     """Weight law: wt of v_{P^k} is t_{wt P - varpi}(Lambda_i) - d(P) delta,
     independent of k (artifact delta normalization).  v is cl_vector(P, k)
@@ -192,7 +194,7 @@ def verify_weight(P, k=0, v=None):
                        "vector vanished")
     got = weight_of(v)
     gamma_q = P.weight() - fundamental(P.r, i)
-    want = expected_weight(P.r, i, gamma_q, depth_total(P))
+    want = _expected_weight(P.r, i, gamma_q, depth_total(P))
     ok = got == want
     wit = None if ok else {"got": got.to_json(), "want": want.to_json()}
     return _report("weight_law", {"pop": P.to_json(), "k": k}, ok, wit)
@@ -261,103 +263,14 @@ def verify_mtp(P, k=0, s=1):
     return _report("mtp", inp, True)
 
 
-# ---------------------------------------------------------------------------
-# fast path for single-root lowering words
-#
-# A word prod_i x_{-alpha} (x) t^{e_i} applied to an extremal vector stays in
-# the sub-Fock space spanned by the alpha ray and alpha-direction modes, and
-# that subspace with its vertex arithmetic is a copy of the rank-1 model (all
-# coefficients only involve the pairings (alpha|alpha) = 2 and (alpha|gamma)).
-# Heisenberg insertions in other directions are commuted out first with the
-# elementary exchange identity for y_alpha t^p against h t^{-q} monomials.
-# The generic path is kept as the oracle; the two are compared in the tests.
-
-def _neg_word_on_extremal(alpha, exps, gamma0, coeff):
-    """prod_i x_{-alpha} (x) t^{e_i} applied to coeff * e^{gamma0}."""
-    r = alpha.r
-    from .translate import eps_tilde
-    if r == 1:
-        v = FockVector(1, gamma0.class_index(),
-                       {fock.FockKey(gamma0): Fraction(coeff)})
-        return apply_word([(-alpha, e, 1) for e in exps], v)
-    p = bilinear(gamma0, alpha)
-    if p.denominator != 1:
-        raise AssertionError("non-integral pairing (gamma0 | alpha)")
-    g1 = FiniteWeight(1, (int(p), 0))
-    a1 = simple_root(1, 1)
-    v1 = apply_word([(-a1, e, 1) for e in exps],
-                    FockVector(1, g1.class_index(), {fock.FockKey(g1): 1}))
-    d = len(exps)
-    sigma = (eps_tilde((-alpha).lattice_rep(), gamma0.lattice_rep())
-             * eps_tilde((-a1).lattice_rep(), g1.lattice_rep())) ** d
-    target = gamma0 - d * alpha
-    cs = fock._alpha_simple_coeffs(alpha.lattice_rep())
-    out = {}
-    for key1, c1 in v1.terms.items():
-        # the rank-1 modes a_1(-n) become alpha(-n) in simple-root modes
-        terms = {(): c1}
-        for _, n in key1.modes:
-            terms = fock._times_alpha_mode(cs, n, terms)
-        for modes, c in terms.items():
-            nk = fock.FockKey(target, modes)
-            out[nk] = out.get(nk, 0) + c
-    scale = Fraction(coeff) * sigma
-    return FockVector(r, target.class_index(),
-                      {k: v * scale for k, v in out.items()})
-
-
-def _apply_block_rank1(alpha, d, dprime, pi, gamma0, g_monomials):
-    """x^-_alpha(d, d', pi) applied to (sum of h-monomials) * e^{gamma0}.
-
-    g_monomials: dict mode-tuple -> coefficient.  Uses the exchange identity
-    to move the h-monomial left, then the rank-1 reduction per pure word.
-
-    It is the route of the single-root collapse checks (`verify collapse`,
-    acceptance criterion 9): on their 528 left-hand sides it takes 4 s where
-    the generic cl_monomial(...).apply takes 157 s and 2.4 GiB (2-core VM,
-    CPython 3.11).  cl_vector does not use it: past its first block, a word
-    of v_P acts on vectors that are not of this form.
-    """
-    if not fits_rectangle(pi, d, dprime):
-        raise ValueError("partition does not fit rectangle")
-    r = alpha.r
-    exps = [dprime - pi.part(i) for i in range(1, d + 1)]
-    div = Fraction(1)
-    mults = {}
-    for e in exps:
-        mults[e] = mults.get(e, 0) + 1
-    for m in mults.values():
-        div /= factorial(m)
-    total = zero_vector(r, (gamma0 - d * alpha).class_index())
-    for g_modes, g_coeff in g_monomials.items():
-        n = len(g_modes)
-        pairings = [bilinear(alpha, simple_root(r, b)) for b, _ in g_modes]
-        for assign in product(range(d + 1), repeat=n):
-            coeff = Fraction(g_coeff)
-            new_exps = list(exps)
-            kept = []
-            for idx, slot in enumerate(assign):
-                if slot == 0:
-                    kept.append(g_modes[idx])
-                else:
-                    coeff *= pairings[idx]
-                    new_exps[slot - 1] -= g_modes[idx][1]
-            if coeff == 0:
-                continue
-            w = _neg_word_on_extremal(alpha, new_exps, gamma0, coeff)
-            for b, q in kept:
-                w = fock.act_heisenberg(b, -q, w)
-            total = total + w
-    return div * total
-
-
 def _crucprop_collapsed(alpha, d, dprime, pi, mu, g_modes, m):
     """f-vector extracted from x^-_alpha(d,d',pi) T_mu g_m vacuum."""
     r = alpha.r
-    w0 = translate.translate_amount(mu, vacuum(r, 0))
-    (key0, c0), = w0.terms.items()
-    lhs = _apply_block_rank1(alpha, d, dprime, pi, key0.gamma,
-                             {modes: c0 * c for modes, c in g_modes.items()})
+    g_vacuum = zero_vector(r)
+    for modes, c in g_modes.items():
+        g_vacuum += FockVector(r, 0, {FockKey(zero_weight(r), modes): c})
+    lhs = cl_monomial(alpha, d, dprime, pi).apply(
+        translate.translate_amount(mu, g_vacuum))
     coc = Cocycle(r)
     sign = coc.comp_eps(mu - d * alpha, d * alpha)
     if (d // 2) % 2:
@@ -386,7 +299,7 @@ def verify_crucprop(alpha, d, dprime, pi, mu, g_modes, m):
         return _report("crucprop", inp, False, {"reason": "vector vanished"})
     target = mu - d * alpha
     i = target.class_index()
-    want = expected_weight(r, i, target - fundamental(r, i), pi.size() + m)
+    want = _expected_weight(r, i, target - fundamental(r, i), pi.size() + m)
     got = weight_of(lhs)
     if got != want:
         return _report("crucprop", inp, False,
@@ -507,7 +420,7 @@ def stable_basis(i, gamma, d):
     if rank_of(vecs) != len(vecs):
         return [], _report("stable_basis", inp, False,
                            {"reason": "not independent"})
-    want = expected_weight(r, i, gamma, d)
+    want = _expected_weight(r, i, gamma, d)
     for v in vecs:
         if weight_of(v) != want:
             return [], _report("stable_basis", inp, False,

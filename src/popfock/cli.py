@@ -363,8 +363,9 @@ def _bracket_failures(r, emax, keys):
 
     def images(alpha, s, ks):
         alpha_lat = alpha.lattice_rep()
-        return [_scaled(fock._root_action_kernel(alpha_lat, s, key), scale,
-                        index) for key in ks]
+        cs = fock._alpha_simple_coeffs(alpha_lat)  # the keys' own labels
+        return [_scaled(fock._root_action_kernel(alpha_lat, s, key, cs),
+                        scale, index) for key in ks]
 
     table = {(alpha, s): images(alpha, s, tkeys)
              for s in _BRACKET_MODES for alpha in roots}

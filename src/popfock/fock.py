@@ -212,32 +212,38 @@ def act_heisenberg(a, n, v):
 
 
 def _alpha_simple_coeffs(alpha_lat):
-    """Coefficients of alpha in the simple-root basis via partial sums of
-    its lattice tuple."""
-    return tuple(accumulate(alpha_lat[:-1]))
+    """alpha in the simple-root basis, via partial sums of its lattice tuple:
+    the pairs (b, coefficient of alpha_b) with a nonzero coefficient."""
+    return tuple((b, c) for b, c in enumerate(accumulate(alpha_lat[:-1]), 1)
+                 if c)
 
 
 def _times_alpha_mode(cs, n, terms):
-    """terms times alpha(-n) = sum_b cs_b alpha_b(-n), cs the simple-root
-    coefficients of alpha; terms is a dict mode-tuple -> coefficient."""
+    """terms times alpha(-n) = sum_b c_b alpha_b(-n), cs the pairs (b, c_b)
+    of alpha; terms is a dict mode-tuple -> coefficient."""
     out = {}
     for modes, c in terms.items():
-        for b, cb in enumerate(cs, 1):
-            if cb:
-                nm = tuple(sorted(modes + ((b, n),)))
-                out[nm] = out.get(nm, 0) + c * cb
+        for b, cb in cs:
+            nm = tuple(sorted(modes + ((b, n),)))
+            out[nm] = out.get(nm, 0) + c * cb
     return out
 
 
 # The exact engine.  Inside it a key is the tuple (lattice tuple, modes), the
 # lattice tuple being the representative whose entries sum to the sector, and
 # a vector is (den, {key: int}), the coefficients being the ints over den.
+#
+# A run of consecutive factors with one root alpha that is not simple creates
+# its modes alpha(-n) in the placeholder label (0, n): the run's annihilators
+# pair them with (alpha|alpha) = 2, and apply_word rewrites them in
+# simple-root modes when the run ends.  Expanding at every factor instead
+# piles up terms that cancel later.  A simple root creates its own mode.
 
 
 @lru_cache(maxsize=None)
 def _creation_terms(cs, degree):
     """degree! times the coefficient of z^degree in exp(sum_n alpha(-n) z^n
-    / n), cs the simple-root coefficients of alpha: a dict mode tuple -> int.
+    / n), alpha(-n) created in the label pairs cs: a dict mode tuple -> int.
 
     From c P_c = sum_{n=1}^{c} alpha(-n) P_{c-n} for the coefficients P_c,
     c! P_c = sum_n (c-1)!/(c-n)! alpha(-n) (c-n)! P_{c-n}."""
@@ -257,7 +263,8 @@ def _annihilation_terms(alpha_lat, modes):
     of (kept modes tuple, int coefficient, annihilated degree)."""
     results = [((), 1, 0)]
     for (b, n), mult in sorted(Counter(modes).items()):
-        c = alpha_lat[b] - alpha_lat[b - 1]  # -(alpha | alpha_b)
+        # -(alpha | alpha_b); the run label 0 is alpha itself
+        c = alpha_lat[b] - alpha_lat[b - 1] if b else -2
         new = []
         for kept, coeff, deg in results:
             for j in range(mult + 1 if c else 1):
@@ -270,9 +277,10 @@ def _annihilation_terms(alpha_lat, modes):
 _ROOT_ACTION_CACHE = {}
 
 
-def _root_action_kernel(alpha_lat, s, key):
-    """x_alpha (x) t^s on one engine key, uncached: (L, {key: int}), the
-    image being the ints over L = c!, c the largest creation degree used."""
+def _root_action_kernel(alpha_lat, s, key, cs):
+    """x_alpha (x) t^s on one engine key, uncached, creating its modes in the
+    label pairs cs: (L, {key: int}), the image being the ints over L = c!,
+    c the largest creation degree used."""
     lat, modes = key
     # (alpha | gamma) on lattice representatives: exact because sum(alpha) = 0
     base = -s - 1 - sum(a * g for a, g in zip(alpha_lat, lat))
@@ -285,7 +293,6 @@ def _root_action_kernel(alpha_lat, s, key):
     if not terms:
         return 1, {}
     L = factorial(max(cdeg for _, _, cdeg in terms))
-    cs = _alpha_simple_coeffs(alpha_lat)
     by_modes = {}
     for kept, acoef, cdeg in terms:
         acoef *= sign0 * (L // factorial(cdeg))
@@ -296,15 +303,16 @@ def _root_action_kernel(alpha_lat, s, key):
     return L, {(new_lat, m): c for m, c in by_modes.items() if c}
 
 
-def _act_root(alpha_lat, s, vec, div=1):
-    """x_alpha (x) t^s divided by div, on an engine vector; cached per key."""
+def _act_root(alpha_lat, s, vec, cs, div):
+    """x_alpha (x) t^s divided by div, on an engine vector, creating in the
+    label pairs cs; cached per key, so cs must be a function of alpha."""
     den, terms = vec
     images = []
     for key, c in terms.items():
         ck = (alpha_lat, s, key)
         hit = _ROOT_ACTION_CACHE.get(ck)
         if hit is None:
-            hit = _ROOT_ACTION_CACHE[ck] = _root_action_kernel(*ck)
+            hit = _ROOT_ACTION_CACHE[ck] = _root_action_kernel(*ck, cs)
         images.append((c, hit))
     # every L is a factorial, so the largest is a common multiple
     top = max((L for _, (L, _) in images), default=1)
@@ -317,6 +325,24 @@ def _act_root(alpha_lat, s, vec, div=1):
     den *= top * div
     g = gcd(den, *out.values())
     return den // g, {k: x // g for k, x in out.items()}
+
+
+def _end_run(cs, vec):
+    """Rewrites the placeholder modes (0, n) = alpha(-n) of a finished run
+    in simple-root modes, cs the pairs of alpha; a run of a simple root (or
+    none) has none."""
+    if len(cs) < 2:
+        return vec
+    den, terms = vec
+    out = {}
+    for (lat, modes), c in terms.items():
+        k = sum(1 for b, _ in modes if not b)  # label 0 sorts first
+        expanded = {modes[k:]: c}
+        for _, n in modes[:k]:
+            expanded = _times_alpha_mode(cs, n, expanded)
+        for m, x in expanded.items():
+            out[lat, m] = out.get((lat, m), 0) + x
+    return den, {k: x for k, x in out.items() if x}
 
 
 def _to_engine(v):
@@ -333,13 +359,19 @@ def apply_word(factors, v):
     conversion in and out of the engine, whose output keys are rebuilt as
     validated FockKeys."""
     vec = _to_engine(v)
+    run = ()  # the pairs of the current run's root
     for alpha, s, mult in factors:
         if not is_root(alpha):
             raise ValueError("alpha is not a root")
         alpha_lat = alpha.lattice_rep()
+        cs = _alpha_simple_coeffs(alpha_lat)
+        if cs != run:
+            vec = _end_run(run, vec)
+            run = cs
+        direction = cs if len(cs) == 1 else ((0, 1),)  # the run placeholder
         for j in range(1, mult + 1):
-            vec = _act_root(alpha_lat, s, vec, j)
-    den, terms = vec
+            vec = _act_root(alpha_lat, s, vec, direction, j)
+    den, terms = _end_run(run, vec)
     return FockVector(v.r, v.sector, {
         FockKey(FiniteWeight(v.r, lat), modes): Fraction(c, den)
         for (lat, modes), c in terms.items()})
@@ -382,15 +414,6 @@ def weight_of(v):
         if k.gamma != gamma or k.energy() != energy:
             raise ValueError("vector is not homogeneous")
     return AffineWeight(gamma, 1, -energy).assert_integral()
-
-
-def expected_weight(r, i, gamma_q, m):
-    """Weight t_{gamma}(Lambda_i) - m delta in the artifact normalization:
-    Lambda_0 + (varpi_i + gamma) - (lattice energy + m) delta."""
-    g = fundamental(r, i) + gamma_q
-    lat2 = bilinear(g, g) - bilinear(fundamental(r, i), fundamental(r, i))
-    e0 = lat2 / 2
-    return AffineWeight(g, 1, -(e0 + m)).assert_integral()
 
 
 def _mode_multisets(r, total):

@@ -90,14 +90,6 @@ def enumerate_rect(d, dprime):
     return sorted(out, key=lambda q: q.parts)
 
 
-def enumerate_rect_by_size(d, dprime):
-    """Partitions in the rectangle grouped by |pi|; dict size -> list."""
-    groups = {}
-    for pi in enumerate_rect(d, dprime):
-        groups.setdefault(pi.size(), []).append(pi)
-    return groups
-
-
 @lru_cache(maxsize=None)
 def _partitions_of(m, cap):
     """Partitions of m with parts at most cap, as tuples."""

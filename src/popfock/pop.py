@@ -5,11 +5,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 
 from . import gtpattern
 from .gtpattern import GTPattern
 from .partitions import (Partition, colored_partitions, enumerate_rect,
-                         enumerate_rect_by_size, fits_rectangle)
+                         fits_rectangle)
 from .rootdata import bilinear, seq_from_fundamental, theta, weight_from_seq
 
 
@@ -187,8 +188,9 @@ def enumerate_pops(lamseq, weight=None, depth_filter=None):
 
     Filters: exact weight (FiniteWeight) and exact depth.  Deterministic
     order: pattern enumeration order, then overlay cells by (j, i), each cell's
-    partitions in enumerate_rect order.  A weight fixes every row sum of the
-    pattern, so it prunes the pattern enumeration.
+    partitions in enumerate_rect order, stably sorted by size under a depth
+    filter.  A weight fixes every row sum of the pattern, so it prunes the
+    pattern enumeration.
     """
     out = []
     row_sums = None
@@ -213,12 +215,10 @@ def enumerate_pops(lamseq, weight=None, depth_filter=None):
         choices = []
         for (i, j) in cells:
             d, dp = st["d"][(i, j)], st["dprime"][(i, j)]
-            if depth_filter is None:
-                choices.append([(pi, pi.size()) for pi in enumerate_rect(d, dp)])
-            else:
-                groups = enumerate_rect_by_size(d, dp)
-                choices.append([(pi, sz) for sz in sorted(groups)
-                                for pi in groups[sz]])
+            opts = [(pi, pi.size()) for pi in enumerate_rect(d, dp)]
+            if depth_filter is not None:
+                opts.sort(key=itemgetter(1))
+            choices.append(opts)
 
         def rec(idx, remaining, acc):
             if idx == len(cells):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from math import gcd
 
 from .rootdata import fundamental, simple_root
 
@@ -48,9 +49,7 @@ def _d_sign_lat(lat):
     """
     if all(c == 0 for c in lat):
         return 1
-    g = 0
-    for c in lat:
-        g = _gcd(g, abs(c))
+    g = gcd(*lat)
     prim = tuple(c // g for c in lat)
     if sorted(prim) == [-1] + [0] * (len(lat) - 2) + [1]:
         k = g if prim.index(1) < prim.index(-1) else -g
@@ -60,12 +59,6 @@ def _d_sign_lat(lat):
         return 1
     q_half = sum(c * c for c in lat) // 2
     return -1 if q_half % 2 else 1
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class Cocycle:

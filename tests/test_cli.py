@@ -87,8 +87,8 @@ def test_unread_flag_is_a_usage_error(command, flag, capsys):
 def test_internal_error_exits_3(monkeypatch, capsys):
     kernel = fock._root_action_kernel
 
-    def faulty(alpha_lat, s, key):
-        den, image = kernel(alpha_lat, s, key)
+    def faulty(alpha_lat, s, key, cs):
+        den, image = kernel(alpha_lat, s, key, cs)
         return 11 * den, image  # 11 divides no (emax + 4)! here
 
     monkeypatch.setattr(fock, "_root_action_kernel", faulty)
@@ -100,13 +100,14 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 
 
 def test_collapse_catches_a_sign_fault(monkeypatch):
-    word = clbasis._neg_word_on_extremal
+    word = clbasis.apply_word
 
-    def faulty(alpha, exps, gamma0, coeff):
-        v = word(alpha, exps, gamma0, coeff)
-        return -v if len(exps) == 3 else v
+    def faulty(factors, v):
+        factors = list(factors)
+        w = word(factors, v)
+        return -w if sum(m for _, _, m in factors) == 3 else w
 
-    monkeypatch.setattr(clbasis, "_neg_word_on_extremal", faulty)
+    monkeypatch.setattr(clbasis, "apply_word", faulty)
     status, lines = run(parse_config(["verify", "collapse", "--r", "1",
                                       "--depth", "2"]))
     reports = [json.loads(line) for line in lines]
@@ -194,8 +195,8 @@ def _first_slow_bracket_failure(r, i, emax):
 def test_bracket_sweep_fault_matches_slow_path(monkeypatch):
     kernel = fock._root_action_kernel
 
-    def faulty(alpha_lat, s, key):
-        den, image = kernel(alpha_lat, s, key)
+    def faulty(alpha_lat, s, key, cs):
+        den, image = kernel(alpha_lat, s, key, cs)
         return den, ({k: -c for k, c in image.items()} if s == 1 else image)
 
     def oracle_faulty(alpha, s, v):

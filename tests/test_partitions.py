@@ -4,8 +4,7 @@ import pytest
 
 from popfock.partitions import (ColoredPartition, Partition,
                                 colored_partitions, complement,
-                                enumerate_rect, enumerate_rect_by_size,
-                                fits_rectangle)
+                                enumerate_rect, fits_rectangle)
 
 
 def series_coefficient(r, m):
@@ -70,12 +69,6 @@ def test_enumerate_rect_counts():
             got = enumerate_rect(d, dp)
             assert len(got) == comb(d + dp, d)
             assert len(set(got)) == len(got)
-
-
-def test_enumerate_rect_by_size():
-    groups = enumerate_rect_by_size(2, 2)
-    assert sorted(groups) == [0, 1, 2, 3, 4]
-    assert sum(len(v) for v in groups.values()) == 6
 
 
 def test_colored_partitions_examples():
