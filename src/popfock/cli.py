@@ -94,7 +94,7 @@ COMMANDS = {
                "dims": "--r --depth --sector",
                "brackets": "--r --depth --sector",
                "translate": "--r",
-               "weights": "--r --lambda --kmax",
+               "weights": "--r --lambda",
                "stability": "--r --lambda --depth --kmax",
                "mtp": "--r --lambda --depth",
                "chain": "--r --lambda",
@@ -425,36 +425,53 @@ def suite_brackets(cfg):
 
 
 def _translate_failures(r):
-    """Witnesses of the translation laws that fail at rank r, in check order:
-    inverses, composition constants, conjugation of root vectors and of the
-    Heisenberg modes, the sector-changing operators T_{varpi_i}, and the
-    translations T_{lam - beta} by dominant weights lam shifted by beta."""
+    """Witnesses of the translation laws that fail at rank r, in check order.
+
+    T_x is translate_amount and T_x^-1 translate_amount_inverse, which reduce
+    to translate_Q on the root lattice.  Each law runs once, over its list of
+    (x, roots, key vectors): the inverse T_x^-1 T_x = id, the composition
+    T_{x - d al} T_{d al} = comp_eps(x - d al, d al) T_x for d <= 2, and the
+    conjugation T_x^-1 (x_ga (x) t^s) T_x = x_ga (x) t^(s + (x|ga)).  Then
+    T_beta against the Heisenberg modes, and the vacuum transport."""
     coc = Cocycle(r)
     vecs = [fock.FockVector(r, 0, {k: Fraction(1)})
             for k in fock.enumerate_keys(r, 0, 3)]
     betas = [simple_root(r, a) for a in range(1, r + 1)] + [theta(r)]
-    for b in betas + [-b for b in betas]:
-        for v in vecs:
-            if translate_Q(-b, translate_Q(b, v)) != v:
-                yield {"prop": "inverse", "beta": b.to_json()}
-    for mu in [zero_weight(r)] + betas + [-b for b in betas]:
-        for al in betas:
+    negs = [-b for b in betas]
+    varpis = [fundamental(r, i) for i in range(1, r + 1)]
+    shifted = [lam - beta for lam in map(weight_from_seq, _default_lambdas(r))
+               for beta in (zero_weight(r), simple_root(r, 1),
+                            -simple_root(r, 1))]
+    inverse = ([(x, vecs) for x in betas + negs]
+               + [(x, vecs[:5]) for x in varpis])
+    composition = ([(x, betas, vecs[:5])
+                    for x in [zero_weight(r)] + betas + negs]
+                   + [(x, betas, vecs[:3]) for x in shifted])
+    conjugation = ([(x, all_roots(r), vecs[:5]) for x in negs + varpis]
+                   + [(x, negs, vecs[:3]) for x in shifted])
+    T, T_inv = translate_amount, translate_amount_inverse
+    for x, vs in inverse:
+        for v in vs:
+            if T_inv(x, T(x, v)) != v:
+                yield {"prop": "inverse", "x": x.to_json()}
+    for x, alphas, vs in composition:
+        for al in alphas:
             for d in (0, 1, 2):
-                sg = coc.comp_eps(mu - d * al, d * al)
-                for v in vecs[:5]:
-                    if (translate_Q(mu - d * al, translate_Q(d * al, v))
-                            != sg * translate_Q(mu, v)):
-                        yield {"prop": "composition", "mu": mu.to_json(),
+                sg = coc.comp_eps(x - d * al, d * al)
+                for v in vs:
+                    if T(x - d * al, T(d * al, v)) != sg * T(x, v):
+                        yield {"prop": "composition", "x": x.to_json(),
                                "alpha": al.to_json(), "d": d}
-    for b in betas:
-        for al in all_roots(r):
-            shift = int(bilinear(b, al))
+    for x, gammas, vs in conjugation:
+        for ga in gammas:
+            shift = int(bilinear(x, ga))
             for s in (-1, 0, 1):
-                for v in vecs[:5]:
-                    lhs = translate_Q(
-                        b, fock.act_root_vector(al, s, translate_Q(-b, v)))
-                    if lhs != fock.act_root_vector(al, s - shift, v):
-                        yield {"prop": "conjugation", "beta": b.to_json()}
+                for v in vs:
+                    lhs = T_inv(x, fock.act_root_vector(ga, s, T(x, v)))
+                    if lhs != fock.act_root_vector(ga, s + shift, v):
+                        yield {"prop": "conjugation", "x": x.to_json(),
+                               "root": ga.to_json(), "s": s}
+    for b in betas:
         for a in range(1, r + 1):
             pair = bilinear(b, simple_root(r, a))
             for v in vecs[:5]:
@@ -470,49 +487,9 @@ def _translate_failures(r):
                         yield {"prop": "heisenberg", "beta": b.to_json(),
                                "a": a, "n": n}
     vac = fock.vacuum(r, 0)
-    for i in range(1, r + 1):
-        varpi = fundamental(r, i)
-        if translate_amount(varpi, vac) != fock.vacuum(r, i):
+    for i, varpi in enumerate(varpis, 1):
+        if T(varpi, vac) != fock.vacuum(r, i):
             yield {"prop": "vacuum transport", "i": i}
-        for v in vecs[:5]:
-            w = translate_amount(varpi, v)
-            if translate_amount_inverse(varpi, w) != v:
-                yield {"prop": "fundamental inverse", "i": i}
-        for al in all_roots(r):
-            shift = int(bilinear(varpi, al))
-            for s in (-1, 0, 1):
-                for v in vecs[:5]:
-                    inner = translate_amount(varpi, v)
-                    lhs = translate_amount_inverse(
-                        varpi, fock.act_root_vector(al, s, inner))
-                    if lhs != fock.act_root_vector(al, s + shift, v):
-                        yield {"prop": "fundamental conjugation", "i": i}
-    for lam in map(weight_from_seq, _default_lambdas(r)):
-        for beta in (zero_weight(r), simple_root(r, 1), -simple_root(r, 1)):
-            x = lam - beta
-            for al in betas:
-                for d in (0, 1, 2):
-                    sg = coc.comp_eps(x - d * al, d * al)
-                    for v in vecs[:3]:
-                        lhs = translate_amount(x - d * al,
-                                               translate_Q(d * al, v))
-                        if lhs != sg * translate_amount(x, v):
-                            yield {"prop": "composite composition",
-                                   "lambda": lam.to_json(),
-                                   "beta": beta.to_json(),
-                                   "alpha": al.to_json(), "d": d}
-            for al in betas:
-                shift = int(bilinear(x, al))
-                for s in (-1, 0, 1):
-                    for v in vecs[:3]:
-                        lhs = translate_amount_inverse(
-                            x, fock.act_root_vector(
-                                -al, s, translate_amount(x, v)))
-                        if lhs != fock.act_root_vector(-al, s - shift, v):
-                            yield {"prop": "composite conjugation",
-                                   "lambda": lam.to_json(),
-                                   "beta": beta.to_json(),
-                                   "alpha": al.to_json()}
 
 
 def suite_translate(cfg):
@@ -530,8 +507,7 @@ def suite_weights(cfg):
             "cl_basis_independent",
             {"r": cfg.r, "lambda": list(seq), "count": len(vecs)}, ok))
         reps = (clbasis.verify_weight(P, k, v if k == 0 else None)
-                for P, v in zip(pops, vecs)
-                for k in range(min(1, cfg.kmax) + 1))
+                for P, v in zip(pops, vecs) for k in (0, 1))
         bad = next((rep for rep in reps if rep["status"] != "pass"), None)
         reports.append(_report("weight_law",
                                {"r": cfg.r, "lambda": list(seq)},

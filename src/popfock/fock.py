@@ -16,7 +16,7 @@ from itertools import accumulate
 from math import comb, factorial, gcd, isqrt, lcm
 
 from .rootdata import (AffineWeight, FiniteWeight, bilinear, fundamental,
-                       is_root, simple_root, theta)
+                       is_root, simple_root)
 from .translate import eps_tilde
 
 
@@ -66,9 +66,6 @@ class FockKey:
 
     def sort_key(self):
         return (self.gamma.lattice_rep(), self.modes)
-
-    def mode_sum(self):
-        return sum(n for _, n in self.modes)
 
     def energy(self):
         """Lattice energy plus mode sum, computed at creation."""
@@ -386,21 +383,6 @@ def act_root_vector(alpha, s, v):
     matrix realization hold on the nose.
     """
     return apply_word(((alpha, s, 1),), v)
-
-
-def act_chevalley(p, kind, v):
-    """Chevalley generators: e_0 = x^-_{1,r} (x) t, f_0 = x^+_{1,r} (x) t^{-1},
-    e_i = x^+_{i,i}, f_i = x^-_{i,i}."""
-    r = v.r
-    if not 0 <= p <= r:
-        raise ValueError("Chevalley index out of range")
-    if kind not in ("e", "f"):
-        raise ValueError("kind must be 'e' or 'f'")
-    if p == 0:
-        alpha, s = (-theta(r), 1) if kind == "e" else (theta(r), -1)
-    else:
-        alpha, s = (simple_root(r, p), 0) if kind == "e" else (-simple_root(r, p), 0)
-    return act_root_vector(alpha, s, v)
 
 
 def weight_of(v):

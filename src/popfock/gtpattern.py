@@ -1,4 +1,4 @@
-"""Gelfand-Tsetlin patterns: validation, statistics, shift, enumeration."""
+"""Gelfand-Tsetlin patterns: validation, statistics, enumeration."""
 
 from __future__ import annotations
 
@@ -55,10 +55,6 @@ class GTPattern:
     def to_json(self):
         return {"rows": [list(row) for row in self.rows]}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["rows"])
-
 
 def diff_d(P, i, j):
     """d_{i,j} = lambda^{j+1}_i - lambda^j_i."""
@@ -91,29 +87,6 @@ def stats(P):
     tri = sum(d[(i, j)] * dp[(i, j)] for (i, j) in d)
     trap = sum(d[(i, j)] * sum(dp[(p, j)] for p in range(i, j + 1)) for (i, j) in d)
     return {"wt": weight(P), "d": d, "dprime": dp, "tri_area": tri, "trap_area": trap}
-
-
-def shift(P, k):
-    """Shift by k: bounding sequence becomes lambda-seq + k * theta-seq.
-
-    Entry rule: +2k in the first column (rows below the apex), unchanged on the
-    diagonal (rows below the apex), +k elsewhere.
-    """
-    if k < 0:
-        raise ValueError("shift amount must be nonnegative")
-    rows = []
-    for j in range(1, P.r + 2):
-        row = []
-        for i in range(1, j + 1):
-            v = P.entry(i, j)
-            if i == 1 and 1 < j:
-                row.append(v + 2 * k)
-            elif 1 < i == j:
-                row.append(v)
-            else:
-                row.append(v + k)
-        rows.append(row)
-    return GTPattern(rows)
 
 
 def enumerate_patterns(lamseq, row_sums=None):

@@ -1,4 +1,4 @@
-"""Partitions, rectangle fitting, complements, and r-colored partitions."""
+"""Partitions, rectangle fitting, and r-colored partitions."""
 
 from __future__ import annotations
 
@@ -27,12 +27,6 @@ class Partition:
     def __hash__(self):
         return hash(self.parts)
 
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __len__(self):
-        return len(self.parts)
-
     def __repr__(self):
         return "Partition(%r)" % (list(self.parts),)
 
@@ -46,27 +40,12 @@ class Partition:
     def to_json(self):
         return list(self.parts)
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj)
-
-
-EMPTY = Partition(())
-
 
 def fits_rectangle(pi, d, dprime):
     """True iff pi has at most d parts, each at most dprime."""
     if len(pi.parts) > d:
         return False
     return all(p <= dprime for p in pi.parts)
-
-
-def complement(pi, d, dprime):
-    """Complement of pi in the rectangle (d, dprime); an involution."""
-    if not fits_rectangle(pi, d, dprime):
-        raise ValueError("partition does not fit rectangle (%d, %d)" % (d, dprime))
-    padded = list(pi.parts) + [0] * (d - len(pi.parts))
-    return Partition(tuple(dprime - padded[d - 1 - i] for i in range(d)))
 
 
 def enumerate_rect(d, dprime):

@@ -1,5 +1,5 @@
-"""Partition overlaid patterns: restriction, depth, shift, invariant sets,
-stability predicate, enumeration, and the area identity."""
+"""Partition overlaid patterns: depth, invariant sets, stability predicate,
+enumeration, and the area identity."""
 
 from __future__ import annotations
 
@@ -90,19 +90,6 @@ class POP:
         return cls(pattern, overlay)
 
 
-def restrict(P, s):
-    """Restriction P_s: rows are the suffixes starting at column s; rank drops."""
-    r = P.r
-    if not 1 <= s <= r + 1:
-        raise ValueError("restriction index out of range")
-    if s == r + 1:
-        return None
-    rows = [tuple(P.pattern.rows[j - 1][s - 1:]) for j in range(s, r + 2)]
-    overlay = {(i - s + 1, j - s + 1): P.overlay[(i, j)]
-               for (i, j) in P.overlay if i >= s}
-    return POP(GTPattern(rows), overlay)
-
-
 def depth_table(P):
     """d^j_i = d_{i,j} * sum_{p=i+1}^{j} d'_{p,j} + |pi(j)^i| for all cells."""
     out = {}
@@ -139,11 +126,6 @@ def area_identity(P):
     rhs = (bilinear(lam, lam) - bilinear(st["wt"], st["wt"])) / 2
     ok = Fraction(lhs) == Fraction(mid) == rhs
     return ok, {"trap": lhs, "tri_plus_depth": mid, "norm_half_diff": rhs}
-
-
-def shift_pop(P, k):
-    """Shift of the POP: pattern shifted by k, overlay unchanged."""
-    return POP(gtpattern.shift(P.pattern, k), dict(P.overlay))
 
 
 def invariant_set(P, s):

@@ -56,9 +56,6 @@ class FiniteWeight:
         if self.r != other.r:
             raise ValueError("rank mismatch: %d vs %d" % (self.r, other.r))
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
     def is_dominant(self):
         return all(self.coords[i] >= self.coords[i + 1] for i in range(self.r))
 
@@ -83,10 +80,6 @@ class FiniteWeight:
 
     def to_json(self):
         return {"r": self.r, "coords": list(self.coords)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["r"], obj["coords"])
 
 
 def zero_weight(r):
@@ -135,13 +128,6 @@ def is_root(x):
     return sorted(lat) == [-1] + [0] * (x.r - 1) + [1] and sum(lat) == 0
 
 
-def is_positive_root(x):
-    if not is_root(x):
-        return False
-    lat = x.lattice_rep()
-    return lat.index(1) < lat.index(-1)
-
-
 def bilinear(x, y):
     """Normalized invariant form; rational on P x P, extended to affine weights.
 
@@ -168,18 +154,6 @@ def seq_from_fundamental(r, ms):
     if any(m < 0 for m in ms):
         raise ValueError("not dominant: negative fundamental coefficient")
     return tuple(sum(ms[i:]) for i in range(r)) + (0,)
-
-
-def fundamental_from_seq(seq):
-    """Sequence -> ϖ-coefficients; errors unless weakly decreasing ending in 0."""
-    seq = tuple(int(x) for x in seq)
-    if len(seq) < 2:
-        raise ValueError("sequence too short")
-    if seq[-1] != 0:
-        raise ValueError("sequence must end in 0")
-    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
-        raise ValueError("sequence not weakly decreasing")
-    return tuple(seq[i] - seq[i + 1] for i in range(len(seq) - 1))
 
 
 def weight_from_seq(seq):
@@ -282,10 +256,6 @@ class AffineWeight:
         obj["level"] = self.level
         obj["delta"] = [self.delta.numerator, self.delta.denominator]
         return obj
-
-
-def Lambda0(r):
-    return AffineWeight(zero_weight(r), 1, 0)
 
 
 def Lambda(r, i):

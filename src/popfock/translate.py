@@ -66,15 +66,11 @@ class Cocycle:
 
     def __init__(self, r):
         self.r = r
-        self._cache = {}
 
     def eps(self, x, y):
         """Table value with the fundamental-weight part of x dropped; y in Q
         uses its zero-sum representative, other cosets their canonical one."""
-        key = (x, y)
-        if key not in self._cache:
-            self._cache[key] = eps_tilde(_drop_class(x), y.lattice_rep())
-        return self._cache[key]
+        return eps_tilde(_drop_class(x), y.lattice_rep())
 
     def comp_eps(self, x, y):
         """Composition cocycle of the translation operators: the constant in

@@ -2,23 +2,88 @@
 against: brute-force POP enumeration, the column-grouped basis operator, the
 sign propagation of the sector-changing translations, direct constructions
 of Heisenberg polynomials and weight-space keys, and the root action on
-FockKeys with Fraction coefficients."""
+FockKeys with Fraction coefficients.  Also the helpers only the tests use:
+the shift of patterns and POPs, restriction, the Chevalley generators and
+the positive-root test."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from popfock.clbasis import OperatorWord, cl_monomial
+from popfock import fock, gtpattern
 from popfock.fock import (FockKey, FockVector, _alpha_simple_coeffs,
                           _mode_multisets, _times_alpha_mode, act_heisenberg,
                           zero_vector)
-from popfock import gtpattern
 from popfock.gtpattern import GTPattern
 from popfock.partitions import enumerate_rect
 from popfock.pop import POP, depth_total
-from popfock.rootdata import (FiniteWeight, fundamental, is_positive_root,
-                              is_root, pos_root)
+from popfock.rootdata import (FiniteWeight, fundamental, is_root, pos_root,
+                              simple_root, theta)
 from popfock.translate import eps_tilde
+
+
+def is_positive_root(x):
+    if not is_root(x):
+        return False
+    lat = x.lattice_rep()
+    return lat.index(1) < lat.index(-1)
+
+
+def shift(P, k):
+    """Shift by k: bounding sequence becomes lambda-seq + k * theta-seq.
+
+    Entry rule: +2k in the first column (rows below the apex), unchanged on the
+    diagonal (rows below the apex), +k elsewhere.
+    """
+    if k < 0:
+        raise ValueError("shift amount must be nonnegative")
+    rows = []
+    for j in range(1, P.r + 2):
+        row = []
+        for i in range(1, j + 1):
+            v = P.entry(i, j)
+            if i == 1 and 1 < j:
+                row.append(v + 2 * k)
+            elif 1 < i == j:
+                row.append(v)
+            else:
+                row.append(v + k)
+        rows.append(row)
+    return GTPattern(rows)
+
+
+def shift_pop(P, k):
+    """Shift of the POP: pattern shifted by k, overlay unchanged."""
+    return POP(shift(P.pattern, k), dict(P.overlay))
+
+
+def restrict(P, s):
+    """Restriction P_s: rows are the suffixes starting at column s; rank drops."""
+    r = P.r
+    if not 1 <= s <= r + 1:
+        raise ValueError("restriction index out of range")
+    if s == r + 1:
+        return None
+    rows = [tuple(P.pattern.rows[j - 1][s - 1:]) for j in range(s, r + 2)]
+    overlay = {(i - s + 1, j - s + 1): P.overlay[(i, j)]
+               for (i, j) in P.overlay if i >= s}
+    return POP(GTPattern(rows), overlay)
+
+
+def act_chevalley(p, kind, v):
+    """Chevalley generators: e_0 = x^-_{1,r} (x) t, f_0 = x^+_{1,r} (x) t^{-1},
+    e_i = x^+_{i,i}, f_i = x^-_{i,i}, through the library's root action."""
+    r = v.r
+    if not 0 <= p <= r:
+        raise ValueError("Chevalley index out of range")
+    if kind not in ("e", "f"):
+        raise ValueError("kind must be 'e' or 'f'")
+    if p == 0:
+        alpha, s = (-theta(r), 1) if kind == "e" else (theta(r), -1)
+    else:
+        alpha, s = (simple_root(r, p), 0) if kind == "e" else (-simple_root(r, p), 0)
+    return fock.act_root_vector(alpha, s, v)
 
 
 def enumerate_pops_bruteforce(lamseq, weight=None, depth_filter=None):

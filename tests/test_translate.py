@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popfock.fock import (FockVector, act_chevalley, act_heisenberg,
-                          act_root_vector, enumerate_keys, vacuum, weight_of)
+from popfock.fock import (FockVector, act_heisenberg, act_root_vector,
+                          enumerate_keys, vacuum, weight_of)
 from popfock.rootdata import (all_roots, bilinear, fundamental,
                               simple_root, theta, zero_weight)
 from popfock.translate import (Cocycle, eps_tilde, translate_Q,
                                translate_amount, translate_amount_inverse)
-from oracles import SignPropagator
+from oracles import SignPropagator, act_chevalley
 from test_fock import random_keys
 
 
