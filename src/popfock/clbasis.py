@@ -19,7 +19,7 @@ from .pop import (depth, depth_total, enumerate_pops, is_stable,
 from .rootdata import (AffineWeight, Lambda, bilinear, dominant_seqs,
                        fundamental, pos_root, residue_class,
                        seq_from_fundamental, theta, translate_weight,
-                       weight_from_seq, weight_in_irrep, zero_weight)
+                       weight_from_seq, zero_weight)
 from .translate import Cocycle
 
 
@@ -83,32 +83,22 @@ def sign_eps(P, k=0, s=1):
     Product over rows p = s..r of (-1)^floor((d_{p,p}+k)/2) times the
     cocycle values the operator collapse produces.  The cocycle is comp_eps,
     the composition constants of the translation operators, with the
-    fundamental-weight part of the first argument dropped.  The shift k is
-    carried into the diagonal factor (multiplier d_{p,p}+k); at k = 0 this is
-    the plain row-by-row product over all cells."""
+    fundamental-weight part of the first argument dropped.  One pass takes
+    the blocks d_{p,j} alpha_{p,j} (rows p = r..s, j = r..p, the shift k
+    added on the diagonal) off the running weight nu = lam + k theta; each
+    block contributes comp_eps(nu, block) with nu already reduced by it.  At
+    k = 0 this is the plain row-by-row product over all cells."""
     r = P.r
-    lam = weight_from_seq(P.bounding_seq())
     coc = Cocycle(r)
+    nu = weight_from_seq(P.bounding_seq()) + k * theta(r)
     total = 1
-    for p in range(s, r + 1):
+    for p in range(r, s - 1, -1):
         if ((P.d(p, p) + k) // 2) % 2:
             total = -total
-        below = zero_weight(r)
-        for i in range(p + 1, r + 1):
-            for j in range(i, r + 1):
-                below = below + P.d(i, j) * pos_root(r, i, j)
-        mu_p = lam + k * pos_root(r, 1, p) - below
-        for j in range(p + 1, r + 1):
-            tail = zero_weight(r)
-            for u in range(j, r + 1):
-                tail = tail + P.d(p, u) * pos_root(r, p, u)
-            total *= coc.comp_eps(mu_p - tail, P.d(p, j) * pos_root(r, p, j))
-        nu0 = mu_p
-        for j in range(p + 1, r + 1):
-            nu0 = nu0 - P.d(p, j) * pos_root(r, p, j)
-        dk = P.d(p, p) + k
-        alpha_p = pos_root(r, p, p)
-        total *= coc.comp_eps(nu0 - dk * alpha_p, dk * alpha_p)
+        for j in range(r, p - 1, -1):
+            block = (P.d(p, j) + (k if j == p else 0)) * pos_root(r, p, j)
+            nu = nu - block
+            total *= coc.comp_eps(nu, block)
     return total
 
 
@@ -119,11 +109,12 @@ def highest_vector(lam, k=0):
     return translate.translate_amount(lamk, vacuum(r, 0))
 
 
-def cl_vector(P, k=0):
-    """Normalized basis vector of the shifted POP inside the sector-i_lam module."""
+def cl_vector(P, k=0, s=1):
+    """Normalized basis vector of the shifted POP inside the sector-i_lam
+    module; with s > 1, the signed restricted monomial on the same vector."""
     lam = weight_from_seq(P.bounding_seq())
     w = highest_vector(lam, k)
-    return sign_eps(P, k, 1) * rho(P, k, 1).apply(w)
+    return sign_eps(P, k, s) * rho(P, k, s).apply(w)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +210,8 @@ def verify_stability(P, kmax=2):
 def _mtp_side(P, k, s):
     """Left side of the intermediate form, pulled back to sector 0."""
     r = P.r
-    lam = weight_from_seq(P.bounding_seq())
-    v = sign_eps(P, k, s) * rho(P, k, s).apply(highest_vector(lam, k))
-    amount = lam
+    v = cl_vector(P, k, s)
+    amount = weight_from_seq(P.bounding_seq())
     if s >= 2:
         amount = amount + k * pos_root(r, 1, s - 1)
     for i in range(s, r + 1):
@@ -377,14 +367,14 @@ def stable_basis(i, gamma, d):
     depth d at shift k = d, with k-independence checked at k = d + 1.
 
     lambda is the smallest dominant weight (total then lex sequence) in the
-    right coset for which mu is a weight of V(lambda) AND the unshifted
-    depth-d set is already full (its cardinality is the colored-partition
-    count).  The fullness condition is forced: without it the shifted index
-    set picks up members that are not shift images, they fail the diagonal
-    bound and the basis genuinely depends on k (observed at rank 2 with the
-    zero weight and d = 2).  The search stops at the total of mu^+ + d theta,
-    the candidate that has always qualified; past it the report fails with
-    reason "no candidate"."""
+    right coset whose unshifted depth-d POP set of weight mu is already full
+    (its cardinality is the colored-partition count, at least 1, so mu is a
+    weight of V(lambda)).  The fullness condition is forced: without it the
+    shifted index set picks up members that are not shift images, they fail
+    the diagonal bound and the basis genuinely depends on k (observed at
+    rank 2 with the zero weight and d = 2).  The search stops at the total
+    of mu^+ + d theta, the candidate that has always qualified; past it the
+    report fails with reason "no candidate"."""
     if gamma.class_index() != 0:
         raise ValueError("gamma must lie in the root lattice")
     r = gamma.r
@@ -394,8 +384,6 @@ def stable_basis(i, gamma, d):
     max_total = sum(mu_plus) - (r + 1) * mu_plus[-1] + d * (r + 1)
     lam = None
     for cand in _candidate_lambdas(r, i, max_total):
-        if not weight_in_irrep(mu, cand):
-            continue
         seq0 = seq_from_fundamental(r, cand.fundamental_coeffs())
         if len(enumerate_pops(seq0, weight=mu, depth_filter=d)) == expected:
             lam = cand

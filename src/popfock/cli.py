@@ -139,8 +139,6 @@ def parse_config(argv):
 
 
 def _parse_gamma(text, r):
-    if text is None:
-        return zero_weight(r)
     try:
         coeffs = [int(x) for x in text.split(",")]
     except ValueError:
@@ -252,39 +250,34 @@ def finite_bracket(al, be):
     return out
 
 
-def bracket_expected(al, be, s1, s2, v):
-    """RHS of the affine bracket on v, in the matrix realization."""
-    r = v.r
-    exp = fock.zero_vector(r, v.sector)
-    diag = {}
+def _bracket_terms(al, be):
+    """[x_al, x_be] split as (root terms [(root, c)], Cartan coefficients):
+    the off-diagonal entries of finite_bracket as roots, and its trace-0
+    diagonal h = sum_a acc_a alpha_a as acc, the partial sums of h."""
+    r = al.r
+    roots = []
+    h = [0] * (r + 1)
     for (i, j), c in finite_bracket(al, be).items():
         if i == j:
-            diag[i] = diag.get(i, 0) + c
+            h[i - 1] += c
             continue
         coords = [0] * (r + 1)
         coords[i - 1] += 1
         coords[j - 1] -= 1
-        exp = exp + c * fock.act_root_vector(FiniteWeight(r, coords), s1 + s2, v)
-    if diag:
-        coords = [0] * (r + 1)
-        for i, c in diag.items():
-            coords[i - 1] += c
-        hfw = FiniteWeight(r, coords)
-        n = s1 + s2
-        if n == 0:
-            terms = {}
-            for key, coeff in v.terms.items():
-                val = bilinear(key.gamma, hfw)
-                if val:
-                    terms[key] = coeff * val
-            exp = exp + fock.FockVector(r, v.sector, terms)
-        else:
-            lat = hfw.lattice_rep()
-            acc = 0
-            for a in range(1, r + 1):
-                acc += lat[a - 1]
-                if acc:
-                    exp = exp + acc * fock.act_heisenberg(a, n, v)
+        roots.append((FiniteWeight(r, coords), c))
+    return roots, list(accumulate(h[:-1]))
+
+
+def bracket_expected(al, be, s1, s2, v):
+    """RHS of the affine bracket on v, in the matrix realization."""
+    n = s1 + s2
+    roots, acc = _bracket_terms(al, be)
+    exp = fock.zero_vector(v.r, v.sector)
+    for gamma, c in roots:
+        exp = exp + c * fock.act_root_vector(gamma, n, v)
+    for a, c in enumerate(acc, 1):
+        if c:
+            exp = exp + c * fock.act_heisenberg(a, n, v)
     if be == -al and s2 == -s1 and s1 != 0:
         exp = exp + Fraction(s1) * v
     return exp
@@ -312,25 +305,14 @@ def _scaled(image, scale, index):
     return {index[key]: f * c for key, c in terms.items()}
 
 
-def _bracket_rhs(r, al, be, table, heis, scale, nkeys):
+def _bracket_rhs(al, be, table, heis, scale, nkeys):
     """scale^2 times bracket_expected(al, be, s1, s2, .) without its central
     term, on the keys with index < nkeys, by n = s1 + s2: for each n a list
     of {key index: int}, one per key."""
-    offdiag = []
-    h = [0] * (r + 1)
-    for (i, j), c in finite_bracket(al, be).items():
-        if i == j:
-            h[i - 1] += c
-            continue
-        coords = [0] * (r + 1)
-        coords[i - 1] += 1
-        coords[j - 1] -= 1
-        offdiag.append((FiniteWeight(r, coords), c * scale))
-    # h has trace 0, so h = sum_a acc_a alpha_a with acc the partial sums
-    acc = list(accumulate(h[:-1]))
+    roots, acc = _bracket_terms(al, be)
     out = {}
     for n in range(-4, 5):
-        parts = ([(table[gamma, n], c) for gamma, c in offdiag]
+        parts = ([(table[gamma, n], c * scale) for gamma, c in roots]
                  + [(heis[a, n], c) for a, c in enumerate(acc, 1) if c])
         rows = []
         for k in range(nkeys):
@@ -381,7 +363,7 @@ def _bracket_failures(r, emax, keys):
         for key in keys] for a in range(1, r + 1) for n in range(-4, 5)}
     for al in roots:
         for be in roots:
-            rhs = _bracket_rhs(r, al, be, table, heis, scale, len(keys))
+            rhs = _bracket_rhs(al, be, table, heis, scale, len(keys))
             opposite = be == -al
             for s1 in _BRACKET_MODES:
                 A = table[al, s1]

@@ -82,8 +82,6 @@ def stats(P):
         for i in range(1, j + 1):
             d[(i, j)] = diff_d(P, i, j)
             dp[(i, j)] = diff_dprime(P, i, j)
-            if d[(i, j)] < 0 or dp[(i, j)] < 0:
-                raise AssertionError("negative difference at (%d, %d)" % (i, j))
     tri = sum(d[(i, j)] * dp[(i, j)] for (i, j) in d)
     trap = sum(d[(i, j)] * sum(dp[(p, j)] for p in range(i, j + 1)) for (i, j) in d)
     return {"wt": weight(P), "d": d, "dprime": dp, "tri_area": tri, "trap_area": trap}

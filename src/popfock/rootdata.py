@@ -63,9 +63,6 @@ class FiniteWeight:
         """Coset of the weight modulo the root lattice Q, as an index in 0..r."""
         return sum(self.coords) % (self.r + 1)
 
-    def in_root_lattice(self):
-        return self.class_index() == 0
-
     def lattice_rep(self):
         """The unique integer-vector representative whose entries sum to class_index."""
         n = self.r + 1
@@ -129,16 +126,8 @@ def is_root(x):
 
 
 def bilinear(x, y):
-    """Normalized invariant form; rational on P x P, extended to affine weights.
-
-    On finite weights: sum(x_i y_i) - sum(x) sum(y) / (r+1).  The affine
-    extension uses (delta|delta) = (Lambda0|Lambda0) = 0 and (delta|Lambda0) = 1.
-    """
-    if isinstance(x, AffineWeight) or isinstance(y, AffineWeight):
-        if not (isinstance(x, AffineWeight) and isinstance(y, AffineWeight)):
-            raise TypeError("cannot pair finite with affine weight")
-        fin = bilinear(x.finite, y.finite)
-        return fin + Fraction(x.level) * y.delta + Fraction(y.level) * x.delta
+    """Normalized invariant form on finite weights, rational on P x P:
+    sum(x_i y_i) - sum(x) sum(y) / (r+1)."""
     if x.r != y.r:
         raise ValueError("rank mismatch")
     n = x.r + 1
@@ -182,31 +171,6 @@ def residue_class(lam):
     if not lam.is_dominant():
         raise ValueError("weight is not dominant")
     return sum(lam.coords) % (lam.r + 1)
-
-
-def weight_in_irrep(mu, lam):
-    """Whether mu is a weight of the irreducible sl_{r+1}-module V(λ)."""
-    if mu.r != lam.r:
-        raise ValueError("rank mismatch")
-    if not lam.is_dominant():
-        raise ValueError("lambda must be dominant")
-    diff = lam - mu
-    if not diff.in_root_lattice():
-        return False
-    lam_lat = list(lam.lattice_rep())
-    # representative of mu with the same coordinate sum as lam
-    mu_lat = list(mu.lattice_rep())
-    n = lam.r + 1
-    shift = (sum(lam_lat) - sum(mu_lat)) // n
-    mu_lat = [c + shift for c in mu_lat]
-    mu_sorted = sorted(mu_lat, reverse=True)
-    lam_sorted = sorted(lam_lat, reverse=True)
-    partial = 0
-    for a, b in zip(lam_sorted, mu_sorted):
-        partial += a - b
-        if partial < 0:
-            return False
-    return partial == 0
 
 
 class AffineWeight:

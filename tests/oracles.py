@@ -1,7 +1,7 @@
 """Slow, independent implementations that the tests compare the library
-against: brute-force POP enumeration, the column-grouped basis operator, the
-sign propagation of the sector-changing translations, direct constructions
-of Heisenberg polynomials and weight-space keys, and the root action on
+against: brute-force POP enumeration, the column-grouped basis operator,
+direct constructions of Heisenberg polynomials and weight-space keys, and
+the root action on
 FockKeys with Fraction coefficients.  Also the helpers only the tests use:
 the shift of patterns and POPs, restriction, the Chevalley generators and
 the positive-root test."""
@@ -145,66 +145,6 @@ def rho_column(P, k=0, s=1):
             dp = P.dprime(i, j) + (k if i == 1 else 0)
             word = word * cl_monomial(pos_root(r, i, j), d, dp, P.overlay[(i, j)])
     return word
-
-
-class SignPropagator:
-    """Signs of the sector-changing translation for one fundamental weight.
-
-    The sign of each lattice point is determined from vacuum -> vacuum by
-    propagating the intertwining law through Chevalley actions; propagation is
-    path-independent and agrees with the closed form eps~(gamma, varpi_i),
-    which is what sign() returns.  verify() re-derives the table by actual
-    propagation and aborts on any inconsistency.
-    """
-
-    def __init__(self, r, i):
-        if not 0 <= i <= r:
-            raise ValueError("sector index out of range")
-        self.r = r
-        self.i = i
-        self._varpi_lat = fundamental(r, i).lattice_rep()
-        self._memo = {}
-        self.consistent = None
-
-    def sign(self, gamma):
-        if gamma not in self._memo:
-            if gamma.class_index() != 0:
-                raise ValueError("sign propagation is seeded on the root lattice")
-            self._memo[gamma] = eps_tilde(gamma.lattice_rep(), self._varpi_lat)
-        return self._memo[gamma]
-
-    def verify(self, step_signs):
-        """Check path independence given the per-step sign ratios.
-
-        step_signs: iterable of (gamma, mu, ratio) meaning the propagated sign
-        at gamma + mu equals ratio times the sign at gamma.  Aborts on clash.
-        """
-        derived = {}
-        seed = FiniteWeight(self.r, (0,) * (self.r + 1))
-        derived[seed] = 1
-        pending = list(step_signs)
-        progress = True
-        while progress:
-            progress = False
-            for gamma, mu, ratio in pending:
-                if gamma in derived:
-                    target = gamma + mu
-                    val = derived[gamma] * ratio
-                    if target in derived:
-                        if derived[target] != val:
-                            self.consistent = False
-                            raise AssertionError(
-                                "sign propagation inconsistent at %r" % (target,))
-                    else:
-                        derived[target] = val
-                        progress = True
-        for gamma, val in derived.items():
-            if self.sign(gamma) != val:
-                self.consistent = False
-                raise AssertionError("propagated sign differs from table at %r"
-                                     % (gamma,))
-        self.consistent = True
-        return derived
 
 
 def weight_space_keys(r, i, gamma_q, m):

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from popfock import clbasis, fock, pop, translate
-from popfock.cli import (RunConfig, UsageError, _KeyIndex, _scaled,
-                         bracket_expected, main, parse_config, run)
-from popfock.rootdata import all_roots, simple_root, zero_weight
+from popfock.cli import (RunConfig, UsageError, _KeyIndex, _bracket_terms,
+                         _scaled, bracket_expected, main, parse_config, run)
+from popfock.rootdata import all_roots, simple_root, theta, zero_weight
 import oracles
 from test_acceptance import C03_ARGV
 
@@ -114,6 +114,32 @@ def test_collapse_catches_a_sign_fault(monkeypatch):
     assert status == 1 and len(reports) == 2
     bad = [rep for rep in reports if rep["status"] == "fail"]
     assert bad and all(rep["witness"]["check"] == "crucprop" for rep in bad)
+
+
+def test_suites_catch_sign_eps_faults(monkeypatch):
+    # a sign that ignores the shift k breaks stability; one flipped when
+    # d_{1,1} is odd breaks every stable basis
+    sign = clbasis.sign_eps
+    no_shift = lambda P, k=0, s=1: sign(P, 0, s)
+    odd_flip = lambda P, k=0, s=1: sign(P, k, s) * (-1) ** P.d(1, 1)
+    for fault, suite, n_fail, n in ((no_shift, "stability", 17, 20),
+                                    (odd_flip, "basis", 18, 18)):
+        with monkeypatch.context() as patch:
+            patch.setattr(clbasis, "sign_eps", fault)
+            status, lines = run(parse_config(["verify", suite, "--r", "2"]))
+        reports = [json.loads(line) for line in lines]
+        assert status == 1 and len(reports) == n
+        assert sum(rep["status"] == "fail" for rep in reports) == n_fail
+
+
+def test_bracket_terms_rank2():
+    # [x_al, x_be] as (root terms, Cartan coefficients on alpha_1, alpha_2)
+    a1, a2, th = simple_root(2, 1), simple_root(2, 2), theta(2)
+    cases = [(a1, -a1, [], [1, 0]), (a1, a2, [(th, 1)], [0, 0]),
+             (a2, a1, [(th, -1)], [0, 0]), (th, -th, [], [1, 1]),
+             (a1, th, [], [0, 0]), (-a2, a1, [], [0, 0])]
+    for al, be, roots, cartan in cases:
+        assert _bracket_terms(al, be) == (roots, cartan)
 
 
 def test_translate_catches_faults(monkeypatch, capsys):
