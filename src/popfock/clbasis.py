@@ -83,11 +83,18 @@ def sign_eps(P, k=0, s=1):
     Product over rows p = s..r of (-1)^floor((d_{p,p}+k)/2) times the
     cocycle values the operator collapse produces.  The cocycle is comp_eps,
     the composition constants of the translation operators, with the
-    fundamental-weight part of the first argument dropped.  One pass takes
-    the blocks d_{p,j} alpha_{p,j} (rows p = r..s, j = r..p, the shift k
-    added on the diagonal) off the running weight nu = lam + k theta; each
-    block contributes comp_eps(nu, block) with nu already reduced by it.  At
-    k = 0 this is the plain row-by-row product over all cells."""
+    fundamental-weight part of the first argument dropped.  At k = 0 this is
+    the plain row-by-row product over all cells."""
+    return _row_pass(P, k, s)[0]
+
+
+def _row_pass(P, k, s):
+    """(sign_eps(P, k, s), the weight its row pass ends at).
+
+    The pass takes the blocks d_{p,j} alpha_{p,j} (rows p = r..s, j = r..p,
+    the shift k added on the diagonal) off nu = lam + k theta; each block
+    contributes comp_eps(nu, block) with nu already reduced by it.  It ends
+    at nu = lam + k alpha_{1,s-1} - sum_{i >= s} d_{i,j} alpha_{i,j}."""
     r = P.r
     coc = Cocycle(r)
     nu = weight_from_seq(P.bounding_seq()) + k * theta(r)
@@ -99,7 +106,7 @@ def sign_eps(P, k=0, s=1):
             block = (P.d(p, j) + (k if j == p else 0)) * pos_root(r, p, j)
             nu = nu - block
             total *= coc.comp_eps(nu, block)
-    return total
+    return total, nu
 
 
 def highest_vector(lam, k=0):
@@ -209,30 +216,29 @@ def verify_stability(P, kmax=2):
 
 def _mtp_side(P, k, s):
     """Left side of the intermediate form, pulled back to sector 0."""
-    r = P.r
-    v = cl_vector(P, k, s)
-    amount = weight_from_seq(P.bounding_seq())
-    if s >= 2:
-        amount = amount + k * pos_root(r, 1, s - 1)
-    for i in range(s, r + 1):
-        for j in range(i, r + 1):
-            amount = amount - P.d(i, j) * pos_root(r, i, j)
-    return translate.translate_amount_inverse(amount, v)
+    return translate.translate_amount_inverse(_row_pass(P, k, s)[1],
+                                              cl_vector(P, k, s))
 
 
-def verify_mtp(P, k=0, s=1):
-    """Checkable content of the intermediate theorem at restriction s:
-    (i) pure-mode support after the inverse translation, (ii) weight
-    Lambda_0 - d(P_s) delta, (iii) equality of the k and k+1 computations."""
+def verify_mtp(P, s=1):
+    """Checkable content of the intermediate theorem at restriction s, one
+    report for k = 0 and one for k = 1: (i) pure-mode support after the
+    inverse translation, (ii) weight Lambda_0 - d(P_s) delta, (iii) equality
+    of the k and k+1 computations.  Each side f_0, f_1, f_2 is built once."""
     r = P.r
     rest = depth(P)["restricted"]
     for l in range(s, r + 1):
         if P.d(l, l) < rest[l]:
             raise ValueError("hypothesis d_{l,l} >= d(P_l) fails at l=%d" % l)
-    inp = {"pop": P.to_json(), "k": k, "s": s}
-    f_k = _mtp_side(P, k, s)
-    f_k1 = _mtp_side(P, k + 1, s)
-    origin = zero_weight(r)
+    sides = [_mtp_side(P, k, s) for k in (0, 1, 2)]
+    want = AffineWeight(zero_weight(r), 1, -rest[s] if s <= r else 0)
+    return [_mtp_report({"pop": P.to_json(), "k": k, "s": s},
+                        sides[k], sides[k + 1], want) for k in (0, 1)]
+
+
+def _mtp_report(inp, f_k, f_k1, want):
+    """verify_mtp's report at one k; want is the weight of f_k."""
+    origin = want.finite
     for key in list(f_k.terms) + list(f_k1.terms):
         if key.gamma != origin:
             return _report("mtp", inp, False,
@@ -240,7 +246,6 @@ def verify_mtp(P, k=0, s=1):
                             "key": repr(key)})
     if f_k.is_zero():
         return _report("mtp", inp, False, {"reason": "vector vanished"})
-    want = AffineWeight(origin, 1, -rest[s] if s <= r else 0)
     got = weight_of(f_k)
     if got != want:
         return _report("mtp", inp, False,
@@ -257,7 +262,7 @@ def _crucprop_collapsed(alpha, d, dprime, pi, mu, g_modes, m):
     """f-vector extracted from x^-_alpha(d,d',pi) T_mu g_m vacuum."""
     r = alpha.r
     g_vacuum = zero_vector(r)
-    for modes, c in g_modes.items():
+    for modes, c in g_modes:
         g_vacuum += FockVector(r, 0, {FockKey(zero_weight(r), modes): c})
     lhs = cl_monomial(alpha, d, dprime, pi).apply(
         translate.translate_amount(mu, g_vacuum))
@@ -269,22 +274,24 @@ def _crucprop_collapsed(alpha, d, dprime, pi, mu, g_modes, m):
     return lhs, sign * pulled
 
 
-def verify_crucprop(alpha, d, dprime, pi, mu, g_modes, m):
+def verify_crucprop(alpha, d, dprime, pi, mu, g_modes, m, collapsed=None):
     """Weight formula (always) and the collapse to a translation of a pure-mode
     vector independent of d and d' (when d >= |pi| + m).  With mu = d alpha
     (so d' = d), g = 1 and m = 0 both translations are trivial and this is
     the single-root collapse: (-1)^floor(d/2) x^-_alpha(d, d, pi) T_{d alpha}
     vacuum depends on pi only.
 
-    g_modes: dict mode-tuple -> coefficient describing the polynomial whose
-    value on the vacuum has weight Lambda_0 - m delta.
+    g_modes: (mode tuple, coefficient) pairs describing the polynomial whose
+    value on the vacuum has weight Lambda_0 - m delta.  collapsed: a suite's
+    memoized _crucprop_collapsed, which computes each shared reference once.
     """
+    collapsed = collapsed or _crucprop_collapsed
     r = alpha.r
     if bilinear(mu, alpha) != d + dprime:
         raise ValueError("need (mu|alpha) = d + d'")
     inp = {"alpha": alpha.to_json(), "d": d, "dprime": dprime,
            "pi": pi.to_json(), "mu": mu.to_json(), "m": m}
-    lhs, f_vec = _crucprop_collapsed(alpha, d, dprime, pi, mu, g_modes, m)
+    lhs, f_vec = collapsed(alpha, d, dprime, pi, mu, g_modes, m)
     if lhs.is_zero():
         return _report("crucprop", inp, False, {"reason": "vector vanished"})
     target = mu - d * alpha
@@ -306,7 +313,7 @@ def verify_crucprop(alpha, d, dprime, pi, mu, g_modes, m):
     d_ref = pi.size() + m
     dp_ref = pi.part(1)
     mu_ref = _mu_with_pairing(alpha, d_ref + dp_ref)
-    _, f_ref = _crucprop_collapsed(alpha, d_ref, dp_ref, pi, mu_ref, g_modes, m)
+    _, f_ref = collapsed(alpha, d_ref, dp_ref, pi, mu_ref, g_modes, m)
     if f_vec != f_ref:
         return _report("crucprop", inp, False,
                        {"reason": "depends on d or d'",

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 
@@ -414,7 +415,8 @@ def _translate_failures(r):
     (x, roots, key vectors): the inverse T_x^-1 T_x = id, the composition
     T_{x - d al} T_{d al} = comp_eps(x - d al, d al) T_x for d <= 2, and the
     conjugation T_x^-1 (x_ga (x) t^s) T_x = x_ga (x) t^(s + (x|ga)).  Then
-    T_beta against the Heisenberg modes, and the vacuum transport."""
+    T_beta against the Heisenberg modes, and the vacuum transport.  Each
+    T_x v is computed once per (x, v)."""
     coc = Cocycle(r)
     vecs = [fock.FockVector(r, 0, {k: Fraction(1)})
             for k in fock.enumerate_keys(r, 0, 3)]
@@ -431,7 +433,8 @@ def _translate_failures(r):
                    + [(x, betas, vecs[:3]) for x in shifted])
     conjugation = ([(x, all_roots(r), vecs[:5]) for x in negs + varpis]
                    + [(x, negs, vecs[:3]) for x in shifted])
-    T, T_inv = translate_amount, translate_amount_inverse
+    T = lru_cache(maxsize=None)(translate_amount)
+    T_inv = translate_amount_inverse
     for x, vs in inverse:
         for v in vs:
             if T_inv(x, T(x, v)) != v:
@@ -502,8 +505,8 @@ def suite_stability(cfg):
 
 
 def suite_mtp(cfg):
-    return [clbasis.verify_mtp(P, k, s) for P in _stable_pops(cfg)
-            for s in range(1, cfg.r + 2) for k in (0, 1)]
+    return [rep for P in _stable_pops(cfg) for s in range(1, cfg.r + 2)
+            for rep in clbasis.verify_mtp(P, s)]
 
 
 def suite_chain(cfg):
@@ -526,8 +529,11 @@ def suite_basis(cfg):
     return reports
 
 
-# g in {1, h_1(-1), h_1(-1)^2}, each with its degree m
-_COLLAPSE_G = (({(): 1}, 0), ({((1, 1),): 1}, 1), ({((1, 1), (1, 1)): 1}, 2))
+# g in {1, h_1(-1), h_1(-1)^2} as its (modes, coefficient) pairs, each with
+# its degree m
+_COLLAPSE_G = (((((), 1),), 0),
+               (((((1, 1),), 1),), 1),
+               (((((1, 1), (1, 1)), 1),), 2))
 
 
 def _collapse_instances(alpha, depth):
@@ -541,7 +547,7 @@ def _collapse_instances(alpha, depth):
                for d in range(depth + 1) for dp in range(3)
                for g, m in _COLLAPSE_G
                for pi in enumerate_rect(d, dp) if pi.size() <= d]
-    sl2 = [(alpha, dp, dp, pi, dp * alpha, {(): 1}, 0)
+    sl2 = [(alpha, dp, dp, pi, dp * alpha, (((), 1),), 0)
            for dp in range(depth + 3)
            for pi in enumerate_rect(dp, dp) if pi.size() <= min(dp, depth)]
     return {"general": general, "sl2": sl2}
@@ -549,13 +555,16 @@ def _collapse_instances(alpha, depth):
 
 def suite_collapse(cfg):
     """Single-root collapse for alpha_1 and theta: one report per root and
-    family, whose witness is the first failing instance."""
+    family, whose witness is the first failing instance.  Each distinct
+    argument tuple of clbasis._crucprop_collapsed is computed once per call."""
+    collapsed = lru_cache(maxsize=None)(clbasis._crucprop_collapsed)
     reports = []
     r = cfg.r
     depth = cfg.depth if cfg.depth is not None else 4
     for alpha in dict.fromkeys([simple_root(r, 1), theta(r)]):
         for family, insts in _collapse_instances(alpha, depth).items():
-            reps = (clbasis.verify_crucprop(*args) for args in insts)
+            reps = (clbasis.verify_crucprop(*args, collapsed=collapsed)
+                    for args in insts)
             bad = next((rep for rep in reps if rep["status"] != "pass"), None)
             reports.append(_report(
                 "collapse", {"r": r, "alpha": alpha.to_json(), "family": family,
@@ -652,6 +661,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except Exception as exc:
+        # free the engine caches, so that this handler runs after MemoryError
+        fock._ROOT_ACTION_CACHE.clear()
+        fock._creation_terms.cache_clear()
         import traceback  # only on this path: it costs start-up time
         traceback.print_exc()
         print(json.dumps({"status": "error", "error": type(exc).__name__,

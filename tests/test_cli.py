@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from popfock import clbasis, fock, pop, translate
+from popfock import cli, clbasis, fock, pop, translate
 from popfock.cli import (RunConfig, UsageError, _KeyIndex, _bracket_terms,
                          _scaled, bracket_expected, main, parse_config, run)
 from popfock.rootdata import all_roots, simple_root, theta, zero_weight
@@ -17,6 +17,9 @@ import oracles
 from test_acceptance import C03_ARGV
 
 ROOT = Path(__file__).resolve().parents[1]
+# the environment of a child interpreter that imports popfock from src/
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def test_parse_examples():
@@ -99,37 +102,63 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert "does not divide" in error["message"]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads the process size from /proc")
+def test_out_of_memory_exits_3():
+    # the run needs about 350 MiB; the child, and only it, may grow by 48 MiB
+    script = """if 1:
+        import resource, sys
+        from popfock import cli
+        size = int(open("/proc/self/statm").read().split()[0])
+        limit = size * resource.getpagesize() + (48 << 20)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        sys.exit(cli.main(["verify", "basis", "--r", "2", "--depth", "3"]))"""
+    child = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV,
+                           capture_output=True, text=True)
+    assert child.returncode == 3 and json.loads(child.stdout) == {
+        "error": "MemoryError", "message": "", "status": "error"}
+
+
 def test_collapse_catches_a_sign_fault(monkeypatch):
+    # blocks with d = 3 negated; blocks with d = 4 doubled, which only the
+    # comparison with the reference instance sees
     word = clbasis.apply_word
+    for d, c, depth, reason in ((3, -1, "2", None),
+                                (4, 2, "4", "depends on d or d'")):
+        def faulty(factors, v, d=d, c=c):
+            factors = list(factors)
+            w = word(factors, v)
+            return c * w if sum(m for _, _, m in factors) == d else w
 
-    def faulty(factors, v):
-        factors = list(factors)
-        w = word(factors, v)
-        return -w if sum(m for _, _, m in factors) == 3 else w
-
-    monkeypatch.setattr(clbasis, "apply_word", faulty)
-    status, lines = run(parse_config(["verify", "collapse", "--r", "1",
-                                      "--depth", "2"]))
-    reports = [json.loads(line) for line in lines]
-    assert status == 1 and len(reports) == 2
-    bad = [rep for rep in reports if rep["status"] == "fail"]
-    assert bad and all(rep["witness"]["check"] == "crucprop" for rep in bad)
+        monkeypatch.setattr(clbasis, "apply_word", faulty)
+        status, lines = run(parse_config(["verify", "collapse", "--r", "1",
+                                          "--depth", depth]))
+        reports = [json.loads(line) for line in lines]
+        bad = [rep["witness"] for rep in reports if rep["status"] == "fail"]
+        assert status == 1 and len(reports) == 2
+        assert bad and all(rep["check"] == "crucprop" for rep in bad)
+        assert reason is None or [rep["witness"]["reason"]
+                                  for rep in bad] == [reason] * 2
 
 
 def test_suites_catch_sign_eps_faults(monkeypatch):
-    # a sign that ignores the shift k breaks stability; one flipped when
-    # d_{1,1} is odd breaks every stable basis
+    # a sign that ignores the shift k breaks stability and the k-independence
+    # of the intermediate form; one flipped when d_{1,1} is odd breaks every
+    # stable basis
     sign = clbasis.sign_eps
     no_shift = lambda P, k=0, s=1: sign(P, 0, s)
     odd_flip = lambda P, k=0, s=1: sign(P, k, s) * (-1) ** P.d(1, 1)
     for fault, suite, n_fail, n in ((no_shift, "stability", 17, 20),
-                                    (odd_flip, "basis", 18, 18)):
+                                    (odd_flip, "basis", 18, 18),
+                                    (no_shift, "mtp", 52, 120)):
         with monkeypatch.context() as patch:
             patch.setattr(clbasis, "sign_eps", fault)
             status, lines = run(parse_config(["verify", suite, "--r", "2"]))
         reports = [json.loads(line) for line in lines]
-        assert status == 1 and len(reports) == n
-        assert sum(rep["status"] == "fail" for rep in reports) == n_fail
+        bad = [rep for rep in reports if rep["status"] != "pass"]
+        assert status == 1 and len(reports) == n and len(bad) == n_fail
+        if suite == "mtp":
+            assert {rep["witness"]["reason"] for rep in bad} == {"depends on k"}
 
 
 def test_bracket_terms_rank2():
@@ -270,28 +299,32 @@ def test_bracket_sweep_rejects_a_foreign_denominator():
         _scaled((7, {key: 1}), 6, _KeyIndex())
 
 
-def test_weights_suite_builds_each_vector_once(monkeypatch):
+@pytest.mark.parametrize("argv,module,name,n", [
+    ("verify weights --r 2", clbasis, "cl_vector", 44),
+    ("verify mtp --r 1", clbasis, "_mtp_side", 42),
+    ("verify collapse --r 1 --depth 2", clbasis, "_crucprop_collapsed", 56),
+    ("verify translate --r 1", cli, "translate_amount", 104),
+], ids=["weights", "mtp", "collapse", "translate"])
+def test_suite_computes_each_value_once(monkeypatch, argv, module, name, n):
     calls = Counter()
-    build = clbasis.cl_vector
+    compute = getattr(module, name)
 
-    def counted(P, k=0):
-        calls[json.dumps(P.to_json(), sort_keys=True), k] += 1
-        return build(P, k)
+    def counted(*args):
+        calls[args] += 1
+        return compute(*args)
 
-    monkeypatch.setattr(clbasis, "cl_vector", counted)
-    status, _ = run(parse_config(["verify", "weights", "--r", "2"]))
+    monkeypatch.setattr(module, name, counted)
+    status, _ = run(parse_config(argv.split()))
     assert status == 0
-    assert len(calls) == 44 and set(calls.values()) == {1}
+    assert len(calls) == n and set(calls.values()) == {1}
 
 
 def test_reports_unchanged_under_optimize():
     # no check may hide behind an assert that python -O strips
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     argv = ["-m", "popfock.cli", "verify", "basis", "--r", "2", "--depth", "1"]
     plain, optimized = (
-        subprocess.run([sys.executable] + flags + argv, env=env, check=True,
-                       capture_output=True).stdout
+        subprocess.run([sys.executable] + flags + argv, env=CHILD_ENV,
+                       check=True, capture_output=True).stdout
         for flags in ([], ["-O"]))
     assert plain and optimized == plain
 
@@ -311,22 +344,6 @@ def test_enumerate_patterns_and_colored():
     assert len(lines) == 3
     _, lines = run(parse_config(["enumerate", "colored", "--r", "2", "--m", "2"]))
     assert len(lines) == 5
-
-
-def test_stability_suite_spec_example():
-    status, lines = run(parse_config(
-        ["verify", "stability", "--r", "1", "--lambda", "2,0", "--kmax", "2"]))
-    assert status == 0
-    reports = [json.loads(line) for line in lines]
-    assert len(reports) == 4
-    assert all(rep["status"] == "pass" for rep in reports)
-
-
-def test_dims_suite():
-    status, lines = run(parse_config(
-        ["verify", "dims", "--r", "2", "--depth", "3"]))
-    assert status == 0
-    assert all(json.loads(line)["status"] == "pass" for line in lines)
 
 
 def test_identities_suite_single_lambda():
@@ -368,17 +385,11 @@ def test_out_file(tmp_path):
 
 
 def test_every_suite_runs_clean_rank1():
+    # the other suites run at r = 1 in tests/test_acceptance.py
     quick = {
-        "identities": [],
-        "dims": ["--depth", "2"],
         "brackets": ["--depth", "1"],
-        "translate": [],
         "weights": ["--lambda", "2,0"],
-        "stability": ["--lambda", "2,0"],
-        "mtp": ["--lambda", "2,0"],
         "chain": ["--lambda", "1,0"],
-        "basis": ["--depth", "1"],
-        "collapse": ["--depth", "1"],
     }
     for suite, extra in quick.items():
         status, lines = run(parse_config(["verify", suite, "--r", "1"] + extra))

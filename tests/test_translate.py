@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popfock.fock import (FockVector, act_heisenberg, act_root_vector,
-                          enumerate_keys, vacuum, weight_of)
-from popfock.rootdata import (all_roots, bilinear, fundamental,
-                              simple_root, theta, zero_weight)
+from popfock.fock import (FockVector, act_root_vector, enumerate_keys,
+                          vacuum, weight_of)
+from popfock.rootdata import (bilinear, fundamental, simple_root, theta,
+                              zero_weight)
 from popfock.translate import (Cocycle, eps_tilde, translate_Q,
                                translate_amount, translate_amount_inverse)
 from oracles import act_chevalley
@@ -107,8 +107,6 @@ def test_translate_Q_examples():
     w = translate_Q(a, v0)
     (key,) = w.terms
     assert key.gamma == a and abs(w.terms[key]) == 1
-    for v in units(1)[:10]:
-        assert translate_Q(a, translate_Q(-a, v)) == v
 
 
 def test_translate_weight_transport():
@@ -122,54 +120,6 @@ def test_translate_weight_transport():
                 assert got.finite == nu.finite + b
                 assert got.delta == nu.delta - bilinear(nu.finite, b) \
                     - bilinear(b, b) / 2
-
-
-def test_conjugation_no_extra_sign():
-    for r in (1, 2):
-        betas = [simple_root(r, a) for a in range(1, r + 1)] + [theta(r)]
-        for b in betas + [-x for x in betas]:
-            for al in all_roots(r):
-                shift = int(bilinear(b, al))
-                for s in (-1, 0, 1):
-                    for v in units(r)[:5]:
-                        lhs = translate_Q(b, act_root_vector(
-                            al, s, translate_Q(-b, v)))
-                        assert lhs == act_root_vector(al, s - shift, v)
-
-
-def test_commutes_with_heisenberg():
-    for r in (1, 2):
-        for b in [simple_root(r, 1), theta(r)]:
-            for a in range(1, r + 1):
-                for n in (-2, -1, 1, 2):
-                    for v in units(r)[:5]:
-                        assert translate_Q(b, act_heisenberg(a, n, v)) == \
-                            act_heisenberg(a, n, translate_Q(b, v))
-
-
-def test_adjoint_on_cartan_zero_mode():
-    # T_b h(0) T_{-b} = h(0) - (b|h) at level one
-    r = 2
-    b = theta(r)
-    for a in (1, 2):
-        pair = Fraction(bilinear(b, simple_root(r, a)))
-        for v in units(r)[:5]:
-            lhs = translate_Q(b, act_heisenberg(a, 0, translate_Q(-b, v)))
-            assert lhs == act_heisenberg(a, 0, v) - pair * v
-
-
-def test_fundamental_vacuum_and_inverse():
-    for r in (1, 2):
-        for i in range(r + 1):
-            varpi = fundamental(r, i)
-            assert translate_amount(varpi, vacuum(r, 0)) == vacuum(r, i)
-            for v in units(r)[:8]:
-                w = translate_amount(varpi, v)
-                assert translate_amount_inverse(varpi, w) == v
-    with pytest.raises(ValueError):
-        translate_amount(fundamental(2, 1), vacuum(2, 2))
-    with pytest.raises(ValueError):
-        translate_amount_inverse(fundamental(2, 1), vacuum(2, 2))
 
 
 def test_fundamental_weight_transport():
@@ -250,35 +200,6 @@ def test_translate_general_examples():
         translate_amount(lam, vacuum(r, 1))
     with pytest.raises(ValueError):
         translate_amount_inverse(fundamental(r, 1), v0)
-
-
-def test_translate_general_composition_and_conjugation():
-    # T_{lam - beta} for dominant lam and beta in Q
-    for r in (1, 2):
-        coc = Cocycle(r)
-        doms = [zero_weight(r), fundamental(r, 1), 2 * fundamental(r, 1)]
-        if r == 2:
-            doms.append(fundamental(r, 1) + fundamental(r, 2))
-        betas = [zero_weight(r), simple_root(r, 1), -simple_root(r, 1)]
-        alphas = [simple_root(r, a) for a in range(1, r + 1)] + [theta(r)]
-        for lam in doms:
-            for beta in betas:
-                x = lam - beta
-                for al in alphas:
-                    for d in (0, 1, 2):
-                        sg = coc.comp_eps(x - d * al, d * al)
-                        for v in units(r)[:3]:
-                            lhs = translate_amount(
-                                x - d * al, translate_Q(d * al, v))
-                            assert lhs == sg * translate_amount(x, v)
-                for al in alphas:
-                    sh = int(bilinear(x, al))
-                    for s in (-1, 0, 1):
-                        for v in units(r)[:3]:
-                            lhs = translate_amount_inverse(
-                                x, act_root_vector(
-                                    -al, s, translate_amount(x, v)))
-                            assert lhs == act_root_vector(-al, s - sh, v)
 
 
 def root_lattice(r):
