@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -192,6 +193,7 @@ def suite_identities(cfg):
                 ok, witness = False, {"pop": P.to_json(), "diag": str(diag)}
                 break
             dd = pop.depth(P)
+            inv = {s: pop.invariant_set(P, s) for s in range(1, r + 2)}
             for s in range(1, r + 1):
                 lhs = dd["restricted"][s]
                 rhs = dd["restricted"][s + 1] + sum(
@@ -200,13 +202,12 @@ def suite_identities(cfg):
                     ok, witness = False, {"pop": P.to_json(), "s": s,
                                           "reason": "depth recursion"}
                     break
-                inv = pop.invariant_set(P, s)
-                merged = pop.invariant_set(P, s + 1)
+                merged = {part: dict(v) for part, v in inv[s + 1].items()}
                 for j in range(s, r + 1):
                     sl = pop.invariant_slice(P, s, j)
                     for part in ("d", "dprime", "overlay"):
                         merged[part].update(sl[part])
-                if inv != merged:
+                if inv[s] != merged:
                     ok, witness = False, {"pop": P.to_json(), "s": s,
                                           "reason": "invariant recursion"}
                     break
@@ -636,8 +637,9 @@ def run(cfg):
 
 
 def main(argv=None):
-    """Exit status: 0 if every check passes, 1 if one fails, 2 on bad input
-    and 3 on an internal error, which also prints one JSON error line."""
+    """Exit status: 0 if every check passes, 1 if one fails, 2 on bad input,
+    3 on an internal error, which also prints one JSON error line, and 141
+    (128 + SIGPIPE) when the reader of the reports closes its end early."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         cfg = parse_config(argv)
@@ -651,10 +653,19 @@ def main(argv=None):
             text = "\n".join(lines)
             if text:
                 print(text, file=out)
+                out.flush()
         finally:
             if out is not sys.stdout:
                 out.close()
         return status
+    except BrokenPipeError:
+        # `popfock ... | head -1`: nothing more can reach the reader, so stop
+        # quietly, and point stdout at the null device so that the
+        # interpreter's final flush does not fail on the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

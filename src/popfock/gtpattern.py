@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from .rootdata import FiniteWeight
+from collections import namedtuple
+from functools import lru_cache
+
+from .rootdata import FiniteWeight, bilinear
 
 
 class GTPattern:
@@ -12,7 +15,7 @@ class GTPattern:
     construction: lambda^{j+1}_i >= lambda^j_i >= lambda^{j+1}_{i+1}.
     """
 
-    __slots__ = ("r", "rows")
+    __slots__ = ("r", "rows", "_stats")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
@@ -32,6 +35,7 @@ class GTPattern:
                         % (i + 1, j, lower[i], upper[i], lower[i + 1]))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_stats", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GTPattern is immutable")
@@ -52,39 +56,71 @@ class GTPattern:
     def bounding_seq(self):
         return self.rows[-1]
 
+    def tables(self):
+        """This pattern's statistics, derived by `stats` on first use and
+        kept as long as the pattern."""
+        if self._stats is None:
+            object.__setattr__(self, "_stats", stats(self))
+        return self._stats
+
     def to_json(self):
         return {"rows": [list(row) for row in self.rows]}
 
 
-def diff_d(P, i, j):
-    """d_{i,j} = lambda^{j+1}_i - lambda^j_i."""
-    return P.entry(i, j + 1) - P.entry(i, j)
+class PatternStats(namedtuple("PatternStats", (
+        "cells", "wt", "d", "dprime", "trap_depth", "tri_area", "trap_area",
+        "norm_half_diff"))):
+    """A pattern's statistics: its weight wt; the differences
+    d_{i,j} = lambda^{j+1}_i - lambda^j_i and d'_{i,j} = lambda^j_i -
+    lambda^{j+1}_{i+1}; the trapezoid depth d_{i,j} * sum_{p=i+1}^{j} d'_{p,j}
+    of each cell; the triangular area sum d_{i,j} d'_{i,j}; the trapezoidal
+    area sum d_{i,j} * sum_{p=i}^{j} d'_{p,j}; and norm_half_diff =
+    ((lambda|lambda) - (wt|wt))/2, lambda the bounding sequence.
+
+    d, dprime and trap_depth are tuples over `cells`, the cells (i, j),
+    1 <= i <= j <= r, ordered by (j, i).
+    """
+
+    __slots__ = ()
+
+    def index(self, i, j):
+        """Position of cell (i, j) in the tables."""
+        if not 1 <= i <= j <= self.wt.r:
+            raise IndexError("no cell (i=%d, j=%d)" % (i, j))
+        return j * (j - 1) // 2 + i - 1
 
 
-def diff_dprime(P, i, j):
-    """d'_{i,j} = lambda^j_i - lambda^{j+1}_{i+1}."""
-    return P.entry(i, j) - P.entry(i + 1, j + 1)
-
-
-def weight(P):
-    """Pattern weight: a_j = (sum of row j) - (sum of row j-1)."""
-    sums = [sum(row) for row in P.rows]
-    coords = [sums[0]] + [sums[j] - sums[j - 1] for j in range(1, P.r + 1)]
-    return FiniteWeight(P.r, coords)
+@lru_cache(maxsize=8)
+def _cells(r):
+    """The cells (i, j) of rank r in table order: one tuple per rank, so the
+    tables and the overlays of all POPs share their keys."""
+    return tuple((i, j) for j in range(1, r + 1) for i in range(1, j + 1))
 
 
 def stats(P):
-    """All pattern statistics: weight, difference tables, both areas."""
-    r = P.r
-    d = {}
-    dp = {}
-    for j in range(1, r + 1):
-        for i in range(1, j + 1):
-            d[(i, j)] = diff_d(P, i, j)
-            dp[(i, j)] = diff_dprime(P, i, j)
-    tri = sum(d[(i, j)] * dp[(i, j)] for (i, j) in d)
-    trap = sum(d[(i, j)] * sum(dp[(p, j)] for p in range(i, j + 1)) for (i, j) in d)
-    return {"wt": weight(P), "d": d, "dprime": dp, "tri_area": tri, "trap_area": trap}
+    """The statistics of P, derived from its rows (see PatternStats).
+
+    P.tables() calls this once and keeps the result on the pattern.
+    """
+    rows = P.rows
+    d, dp, trap_depth = [], [], []
+    tri = trap = 0
+    for j in range(1, P.r + 1):
+        upper, lower = rows[j - 1], rows[j]
+        dj = [lower[i] - upper[i] for i in range(j)]
+        dpj = [upper[i] - lower[i + 1] for i in range(j)]
+        d += dj
+        dp += dpj
+        trap_depth += [dj[i] * sum(dpj[i + 1:]) for i in range(j)]
+        tri += sum(x * y for x, y in zip(dj, dpj))
+        trap += sum(dj[i] * sum(dpj[i:]) for i in range(j))
+    sums = [sum(row) for row in rows]
+    wt = FiniteWeight(P.r, [sums[0]] + [sums[j] - sums[j - 1]
+                                        for j in range(1, P.r + 1)])
+    lam = FiniteWeight(P.r, rows[-1])
+    return PatternStats(
+        _cells(P.r), wt, tuple(d), tuple(dp), tuple(trap_depth), tri, trap,
+        (bilinear(lam, lam) - bilinear(wt, wt)) / 2)
 
 
 def enumerate_patterns(lamseq, row_sums=None):

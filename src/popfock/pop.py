@@ -11,38 +11,38 @@ from . import gtpattern
 from .gtpattern import GTPattern
 from .partitions import (Partition, colored_partitions, enumerate_rect,
                          fits_rectangle)
-from .rootdata import bilinear, seq_from_fundamental, theta, weight_from_seq
+from .rootdata import seq_from_fundamental, theta
 
 
 class POP:
     """A GT pattern together with a partition in each (i,j) rectangle.
 
     Overlay keys (i,j) for 1 <= i <= j <= r are always present, even when the
-    rectangle is degenerate (the partition is then forced empty).
+    rectangle is degenerate (the partition is then forced empty), in the
+    cell order of the pattern's tables.
     """
 
     __slots__ = ("pattern", "overlay", "r")
 
     def __init__(self, pattern, overlay=None):
-        overlay = dict(overlay or {})
-        r = pattern.r
+        overlay = overlay or {}
+        st = pattern.tables()
         full = {}
-        for j in range(1, r + 1):
-            for i in range(1, j + 1):
-                pi = overlay.get((i, j), Partition(()))
-                d = gtpattern.diff_d(pattern, i, j)
-                dp = gtpattern.diff_dprime(pattern, i, j)
-                if not fits_rectangle(pi, d, dp):
-                    raise ValueError(
-                        "overlay partition at (i=%d, j=%d) does not fit rectangle (%d, %d)"
-                        % (i, j, d, dp))
-                full[(i, j)] = pi
-        unknown = set(overlay) - set(full)
+        for cell, d, dp in zip(st.cells, st.d, st.dprime):
+            pi = overlay.get(cell)
+            if pi is None:
+                pi = Partition(())
+            elif not fits_rectangle(pi, d, dp):
+                raise ValueError(
+                    "overlay partition at (i=%d, j=%d) does not fit rectangle (%d, %d)"
+                    % (cell + (d, dp)))
+            full[cell] = pi
+        unknown = [cell for cell in overlay if cell not in full]
         if unknown:
             raise ValueError("overlay keys out of range: %r" % (sorted(unknown),))
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "overlay", full)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", pattern.r)
 
     def __setattr__(self, name, value):
         raise AttributeError("POP is immutable")
@@ -63,13 +63,15 @@ class POP:
         return self.pattern.bounding_seq()
 
     def weight(self):
-        return gtpattern.weight(self.pattern)
+        return self.pattern.tables().wt
 
     def d(self, i, j):
-        return gtpattern.diff_d(self.pattern, i, j)
+        st = self.pattern.tables()
+        return st.d[st.index(i, j)]
 
     def dprime(self, i, j):
-        return gtpattern.diff_dprime(self.pattern, i, j)
+        st = self.pattern.tables()
+        return st.dprime[st.index(i, j)]
 
     def overlay_size(self):
         return sum(pi.size() for pi in self.overlay.values())
@@ -92,11 +94,8 @@ class POP:
 
 def depth_table(P):
     """d^j_i = d_{i,j} * sum_{p=i+1}^{j} d'_{p,j} + |pi(j)^i| for all cells."""
-    out = {}
-    for (i, j), pi in P.overlay.items():
-        trap = P.d(i, j) * sum(P.dprime(p, j) for p in range(i + 1, j + 1))
-        out[(i, j)] = trap + pi.size()
-    return out
+    return {cell: trap + pi.size() for (cell, pi), trap
+            in zip(P.overlay.items(), P.pattern.tables().trap_depth)}
 
 
 def depth(P):
@@ -110,7 +109,7 @@ def depth(P):
 
 
 def depth_total(P):
-    return sum(depth_table(P).values())
+    return sum(P.pattern.tables().trap_depth) + P.overlay_size()
 
 
 def area_identity(P):
@@ -119,11 +118,10 @@ def area_identity(P):
     trap(P) = tri(P) + d(P) - sum|pi| = ((lambda|lambda) - (wt|wt)) / 2,
     all exactly; returns (ok, diagnostics).
     """
-    st = gtpattern.stats(P.pattern)
-    lam = weight_from_seq(P.bounding_seq())
-    lhs = st["trap_area"]
-    mid = st["tri_area"] + depth_total(P) - P.overlay_size()
-    rhs = (bilinear(lam, lam) - bilinear(st["wt"], st["wt"])) / 2
+    st = P.pattern.tables()
+    lhs = st.trap_area
+    mid = st.tri_area + depth_total(P) - P.overlay_size()
+    rhs = st.norm_half_diff
     ok = Fraction(lhs) == Fraction(mid) == rhs
     return ok, {"trap": lhs, "tri_plus_depth": mid, "norm_half_diff": rhs}
 
@@ -132,16 +130,21 @@ def invariant_set(P, s):
     """I(P_s): shift-invariant differences and the overlay, with labels kept.
 
     Returns {"d": {(i,j): ...}, "dprime": {(i,j): ...}, "overlay": {(i,j): ...}}
-    restricted to the index ranges of P_s.
+    restricted to the index ranges of P_s: d_{i,j} for s <= i < j, d'_{i,j}
+    for s < i <= j and the overlay for s <= i.
     """
-    r = P.r
-    if not 1 <= s <= r + 1:
+    if not 1 <= s <= P.r + 1:
         raise ValueError("restriction index out of range")
-    d = {(i, j): P.d(i, j) for j in range(1, r + 1) for i in range(s, j)
-         if s <= i < j}
-    dp = {(i, j): P.dprime(i, j) for j in range(1, r + 1)
-          for i in range(s + 1, j + 1) if s < i <= j}
-    ov = {(i, j): P.overlay[(i, j)] for (i, j) in P.overlay if i >= s}
+    st = P.pattern.tables()
+    d, dp, ov = {}, {}, {}
+    for (cell, pi), dk, dpk in zip(P.overlay.items(), st.d, st.dprime):
+        i, j = cell
+        if i >= s:
+            ov[cell] = pi
+            if i < j:
+                d[cell] = dk
+            if i > s:
+                dp[cell] = dpk
     return {"d": d, "dprime": dp, "overlay": ov}
 
 
@@ -152,9 +155,11 @@ def invariant_slice(P, s, j):
         raise ValueError("slice indices out of range")
     if s == j:
         return {"d": {}, "dprime": {}, "overlay": {(s, s): P.overlay[(s, s)]}}
+    st = P.pattern.tables()
+    at = st.index(s, j)
     return {
-        "d": {(s, j): P.d(s, j)},
-        "dprime": {(i, j): P.dprime(i, j) for i in range(s + 1, j + 1)},
+        "d": {(s, j): st.d[at]},
+        "dprime": {(i, j): st.dprime[at + i - s] for i in range(s + 1, j + 1)},
         "overlay": {(s, j): P.overlay[(s, j)]},
     }
 
@@ -182,24 +187,25 @@ def enumerate_pops(lamseq, weight=None, depth_filter=None):
         if rem or weight.r != n - 1:
             return out
         row_sums = list(accumulate(c + t for c in weight.coords))
+    rects = {}  # (d, d') -> the rectangle's partitions with their sizes
     for pattern in gtpattern.enumerate_patterns(lamseq, row_sums):
-        if weight is not None and gtpattern.weight(pattern) != weight:
+        st = pattern.tables()
+        if weight is not None and st.wt != weight:
             continue
-        st = gtpattern.stats(pattern)
-        base = sum(st["d"][(i, j)] * sum(st["dprime"][(p, j)]
-                                         for p in range(i + 1, j + 1))
-                   for (i, j) in st["d"])
+        base = sum(st.trap_depth)
         if depth_filter is not None:
             want = depth_filter - base
-            if want < 0 or want > st["trap_area"]:
+            if want < 0 or want > st.trap_area:
                 continue
-        cells = sorted(st["d"], key=lambda ij: (ij[1], ij[0]))
+        cells = st.cells
         choices = []
-        for (i, j) in cells:
-            d, dp = st["d"][(i, j)], st["dprime"][(i, j)]
-            opts = [(pi, pi.size()) for pi in enumerate_rect(d, dp)]
-            if depth_filter is not None:
-                opts.sort(key=itemgetter(1))
+        for rect in zip(st.d, st.dprime):
+            opts = rects.get(rect)
+            if opts is None:
+                opts = [(pi, pi.size()) for pi in enumerate_rect(*rect)]
+                if depth_filter is not None:
+                    opts.sort(key=itemgetter(1))
+                rects[rect] = opts
             choices.append(opts)
 
         def rec(idx, remaining, acc):

@@ -1,25 +1,25 @@
 """Slow, independent implementations that the tests compare the library
-against: brute-force POP enumeration, the column-grouped basis operator,
+against: pattern statistics and the depth table read from the pattern
+entries, brute-force POP enumeration, the column-grouped basis operator,
 direct constructions of Heisenberg polynomials and weight-space keys, and
-the root action on
-FockKeys with Fraction coefficients.  Also the helpers only the tests use:
-the shift of patterns and POPs, restriction, the Chevalley generators and
-the positive-root test."""
+the root action on FockKeys with Fraction coefficients.  Also the helpers
+only the tests use: the shift of patterns and POPs, restriction, the
+Chevalley generators and the positive-root test."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from popfock.clbasis import OperatorWord, cl_monomial
-from popfock import fock, gtpattern
+from popfock import fock
 from popfock.fock import (FockKey, FockVector, _alpha_simple_coeffs,
                           _mode_multisets, _times_alpha_mode, act_heisenberg,
                           zero_vector)
 from popfock.gtpattern import GTPattern
 from popfock.partitions import enumerate_rect
-from popfock.pop import POP, depth_total
-from popfock.rootdata import (FiniteWeight, fundamental, is_root, pos_root,
-                              simple_root, theta)
+from popfock.pop import POP
+from popfock.rootdata import (FiniteWeight, bilinear, fundamental, is_root,
+                              pos_root, simple_root, theta)
 from popfock.translate import eps_tilde
 
 
@@ -71,6 +71,35 @@ def restrict(P, s):
     return POP(GTPattern(rows), overlay)
 
 
+def slow_stats(P):
+    """The statistics of gtpattern.stats, each from its definition and the
+    entries of P; the tables are dicts over the cells (i, j)."""
+    r = P.r
+    cells = [(i, j) for j in range(1, r + 1) for i in range(1, j + 1)]
+    d = {(i, j): P.entry(i, j + 1) - P.entry(i, j) for (i, j) in cells}
+    dp = {(i, j): P.entry(i, j) - P.entry(i + 1, j + 1) for (i, j) in cells}
+    sums = [sum(P.entry(i, j) for i in range(1, j + 1))
+            for j in range(1, r + 2)]
+    wt = FiniteWeight(r, [sums[0]] + [sums[j] - sums[j - 1]
+                                      for j in range(1, r + 1)])
+    lam = FiniteWeight(r, [P.entry(i, r + 1) for i in range(1, r + 2)])
+    return {
+        "wt": wt, "d": d, "dprime": dp,
+        "trap_depth": {(i, j): d[(i, j)] * sum(dp[(p, j)]
+                                               for p in range(i + 1, j + 1))
+                       for (i, j) in cells},
+        "tri_area": sum(d[c] * dp[c] for c in cells),
+        "trap_area": sum(d[(i, j)] * sum(dp[(p, j)] for p in range(i, j + 1))
+                         for (i, j) in cells),
+        "norm_half_diff": (bilinear(lam, lam) - bilinear(wt, wt)) / 2}
+
+
+def slow_depth_table(P):
+    """d^j_i = d_{i,j} * sum_{p=i+1}^{j} d'_{p,j} + |pi(j)^i| for a POP."""
+    trap = slow_stats(P.pattern)["trap_depth"]
+    return {c: trap[c] + P.overlay[c].size() for c in trap}
+
+
 def act_chevalley(p, kind, v):
     """Chevalley generators: e_0 = x^-_{1,r} (x) t, f_0 = x^+_{1,r} (x) t^{-1},
     e_i = x^+_{i,i}, f_i = x^-_{i,i}, through the library's root action."""
@@ -119,9 +148,9 @@ def enumerate_pops_bruteforce(lamseq, weight=None, depth_filter=None):
     rec_rows([list(lamseq)])
     out = []
     for pattern in patterns:
-        if weight is not None and gtpattern.weight(pattern) != weight:
+        st = slow_stats(pattern)
+        if weight is not None and st["wt"] != weight:
             continue
-        st = gtpattern.stats(pattern)
         cells = sorted(st["d"], key=lambda ij: (ij[1], ij[0]))
         stacks = [[]]
         for (i, j) in cells:
@@ -129,7 +158,8 @@ def enumerate_pops_bruteforce(lamseq, weight=None, depth_filter=None):
             stacks = [acc + [pi] for acc in stacks for pi in opts]
         for acc in stacks:
             P = POP(pattern, dict(zip(cells, acc)))
-            if depth_filter is not None and depth_total(P) != depth_filter:
+            if (depth_filter is not None
+                    and sum(slow_depth_table(P).values()) != depth_filter):
                 continue
             out.append(P)
     return out

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from popfock import cli, clbasis, fock, pop, translate
+from popfock import cli, clbasis, fock, gtpattern, pop, translate
 from popfock.cli import (RunConfig, UsageError, _KeyIndex, _bracket_terms,
                          _scaled, bracket_expected, main, parse_config, run)
 from popfock.rootdata import all_roots, simple_root, theta, zero_weight
@@ -117,6 +117,20 @@ def test_out_of_memory_exits_3():
                            capture_output=True, text=True)
     assert child.returncode == 3 and json.loads(child.stdout) == {
         "error": "MemoryError", "message": "", "status": "error"}
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reports (about 1 MB) outgrow the pipe, so the child is still
+    # writing when the reader closes its end after one line
+    child = subprocess.Popen(
+        [sys.executable, "-m", "popfock.cli", "enumerate", "pops",
+         "--lambda", "6,4,2,0"], env=CHILD_ENV,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert json.loads(child.stdout.readline())["rows"][-1] == [6, 4, 2, 0]
+    child.stdout.close()
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
+    child.stderr.close()
 
 
 def test_collapse_catches_a_sign_fault(monkeypatch):
@@ -304,7 +318,11 @@ def test_bracket_sweep_rejects_a_foreign_denominator():
     ("verify mtp --r 1", clbasis, "_mtp_side", 42),
     ("verify collapse --r 1 --depth 2", clbasis, "_crucprop_collapsed", 56),
     ("verify translate --r 1", cli, "translate_amount", 104),
-], ids=["weights", "mtp", "collapse", "translate"])
+    # 8 patterns of (2,1,0) carry its 9 POPs; I(P_s) for s = 1, 2, 3
+    ("verify identities --r 2 --lambda 2,1,0", gtpattern, "stats", 8),
+    ("verify identities --r 2 --lambda 2,1,0", pop, "invariant_set", 27),
+], ids=["weights", "mtp", "collapse", "translate", "identities-patterns",
+        "identities-invariant-sets"])
 def test_suite_computes_each_value_once(monkeypatch, argv, module, name, n):
     calls = Counter()
     compute = getattr(module, name)

@@ -1,7 +1,6 @@
 import pytest
 
-from popfock.gtpattern import (GTPattern, diff_d, diff_dprime,
-                               enumerate_patterns, stats, weight)
+from popfock.gtpattern import GTPattern, enumerate_patterns, stats
 from popfock.rootdata import zero_weight
 from oracles import shift
 
@@ -23,52 +22,55 @@ def test_validate_reports_position():
 def test_stats_example_rank2():
     P = GTPattern([[1], [2, 0], [2, 1, 0]])
     st = stats(P)
-    assert st["wt"] == zero_weight(2)  # (1,1,1) is the zero weight
-    assert st["d"] == {(1, 1): 1, (1, 2): 0, (2, 2): 1}
-    assert st["dprime"] == {(1, 1): 1, (1, 2): 1, (2, 2): 0}
-    assert st["tri_area"] == 1
-    assert st["trap_area"] == 1
+    assert st.wt == zero_weight(2)  # (1,1,1) is the zero weight
+    assert st.cells == ((1, 1), (1, 2), (2, 2))
+    assert st.d == (1, 0, 1)
+    assert st.dprime == (1, 1, 0)
+    assert st.trap_depth == (0, 0, 0)
+    assert st.tri_area == 1
+    assert st.trap_area == 1
+    assert st.norm_half_diff == 1
+    assert P.tables() == st and P.tables() is P.tables()
 
 
 def test_stats_example_rank1():
     P = GTPattern([[1], [2, 0]])
     st = stats(P)
-    assert st["wt"] == zero_weight(1)
-    assert st["tri_area"] == 1 and st["trap_area"] == 1
+    assert st.wt == zero_weight(1)
+    assert st.tri_area == 1 and st.trap_area == 1
 
 
 def test_stats_constant_pattern():
     P = GTPattern([[2], [2, 0], [2, 0, 0]])
     st = stats(P)
-    assert all(v == 0 for v in st["d"].values())
-    assert st["tri_area"] == 0
+    assert all(v == 0 for v in st.d)
+    assert st.tri_area == 0
 
 
 def test_trap_minus_tri_nonneg():
     for seq in [(2, 0), (2, 1, 0), (3, 1, 0)]:
         for P in enumerate_patterns(seq):
             st = stats(P)
-            assert st["trap_area"] >= st["tri_area"]
+            assert st.trap_area >= st.tri_area
 
 
 def test_shift_example():
     P = GTPattern([[1], [2, 0], [2, 1, 0]])
     assert shift(P, 1) == GTPattern([[2], [4, 0], [4, 2, 0]])
     assert shift(P, 0) == P
-    assert diff_d(shift(P, 1), 1, 1) == 2
+    assert shift(P, 1).tables().d[0] == 2
 
 
 def test_shift_laws():
     for seq in [(2, 0), (3, 0), (2, 1, 0), (1, 1, 0)]:
         for P in enumerate_patterns(seq):
             for k in (1, 2, 3):
-                Pk = shift(P, k)
-                assert weight(Pk) == weight(P)
-                r = P.r
-                for j in range(1, r + 1):
-                    for i in range(1, j + 1):
-                        assert diff_d(Pk, i, j) == diff_d(P, i, j) + (k if i == j else 0)
-                        assert diff_dprime(Pk, i, j) == diff_dprime(P, i, j) + (k if i == 1 else 0)
+                st, stk = P.tables(), shift(P, k).tables()
+                assert stk.wt == st.wt
+                for (i, j), d, dk, dp, dpk in zip(st.cells, st.d, stk.d,
+                                                  st.dprime, stk.dprime):
+                    assert dk == d + (k if i == j else 0)
+                    assert dpk == dp + (k if i == 1 else 0)
 
 
 def test_shift_composition():

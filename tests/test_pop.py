@@ -1,14 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popfock.gtpattern import GTPattern
-from popfock.partitions import Partition, colored_partitions
+from popfock.gtpattern import GTPattern, enumerate_patterns
+from popfock.partitions import Partition, colored_partitions, enumerate_rect
 from popfock.pop import (POP, area_identity, depth, depth_total,
-                         enumerate_pops, invariant_set, invariant_slice,
-                         is_stable, shift_bijection_check)
+                         enumerate_pops, invariant_set, is_stable,
+                         shift_bijection_check)
 from popfock.rootdata import (FiniteWeight, fundamental, simple_root,
                               zero_weight)
-from oracles import enumerate_pops_bruteforce, restrict, shift_pop
+from oracles import (enumerate_pops_bruteforce, restrict, shift_pop,
+                     slow_depth_table, slow_stats)
 
 
 def P_(rows, overlay=None):
@@ -86,20 +87,40 @@ def test_invariant_set_example():
     assert invariant_set(P, 3) == {"d": {}, "dprime": {}, "overlay": {}}
 
 
-def test_invariant_set_shift_invariant_and_recursion():
+def test_invariant_set_shift_invariant():
+    # the recursion from I(P_{s+1}) to I(P_s) is verify identities' (c01)
     for seq in [(2, 0), (2, 1, 0)]:
         for P in enumerate_pops(seq):
             for s in range(1, P.r + 2):
                 inv = invariant_set(P, s)
                 for k in (1, 2):
                     assert invariant_set(shift_pop(P, k), s) == inv
-            for s in range(1, P.r + 1):
-                merged = invariant_set(P, s + 1)
-                for j in range(s, P.r + 1):
-                    sl = invariant_slice(P, s, j)
-                    for part in ("d", "dprime", "overlay"):
-                        merged[part].update(sl[part])
-                assert invariant_set(P, s) == merged
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pattern_tables_match_slow_path(data):
+    # every pattern of one lambda, so a value kept from another pattern shows
+    r = data.draw(st.integers(1, 3))
+    lam = tuple(sorted(data.draw(st.lists(st.integers(0, 3), min_size=r,
+                                          max_size=r)), reverse=True)) + (0,)
+    for pattern in enumerate_patterns(lam):
+        slow = slow_stats(pattern)
+        tab = pattern.tables()
+        for name in ("d", "dprime", "trap_depth"):
+            assert dict(zip(tab.cells, getattr(tab, name))) == slow[name]
+        for name in ("wt", "tri_area", "trap_area", "norm_half_diff"):
+            assert getattr(tab, name) == slow[name]
+        P = POP(pattern, {
+            c: data.draw(st.sampled_from(enumerate_rect(slow["d"][c],
+                                                        slow["dprime"][c])))
+            for c in tab.cells})
+        assert {c: P.d(*c) for c in tab.cells} == slow["d"]
+        assert {c: P.dprime(*c) for c in tab.cells} == slow["dprime"]
+        assert P.weight() == slow["wt"]
+        table = slow_depth_table(P)
+        assert depth(P)["table"] == table
+        assert depth_total(P) == sum(table.values())
 
 
 def test_is_stable_examples():
