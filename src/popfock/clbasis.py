@@ -121,7 +121,7 @@ def cl_vector(P, k=0, s=1):
     module; with s > 1, the signed restricted monomial on the same vector."""
     lam = weight_from_seq(P.bounding_seq())
     w = highest_vector(lam, k)
-    return sign_eps(P, k, s) * rho(P, k, s).apply(w)
+    return rho(P, k, s).apply(sign_eps(P, k, s) * w)
 
 
 # ---------------------------------------------------------------------------

@@ -32,125 +32,134 @@ class UsageError(Exception):
     pass
 
 
-def _parse_lambda(text, r=None):
-    try:
-        seq = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError("--lambda must be a comma-separated integer sequence")
-    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
-        raise UsageError("--lambda must be weakly decreasing")
-    if seq[-1] != 0:
-        raise UsageError("--lambda must end in 0")
-    if r is not None and len(seq) != r + 1:
-        raise UsageError("--lambda must have r+1 entries")
+def _int(text, cfg):
+    return int(text)
+
+
+def _ints(text, n):
+    seq = tuple(int(x) for x in text.split(","))
+    if len(seq) != n:
+        raise ValueError("needs %d comma-separated entries" % n)
     return seq
 
 
-class RunConfig:
-    """Validated run configuration for one CLI invocation."""
-
-    def __init__(self, command, suite=None, r=1, lam=None, kmax=2, depth=None,
-                 sector=None, gamma=None, out=None, pop_json=None, k=0, m=0):
-        if r < 1:
-            raise UsageError("--r must be at least 1")
-        if kmax < 0 or (depth is not None and depth < 0):
-            raise UsageError("bounds must be nonnegative")
-        if sector is not None and not 0 <= sector <= r:
-            raise UsageError("--sector out of range")
-        self.command = command
-        self.suite = suite
-        self.r = r
-        self.lam = lam
-        self.kmax = kmax
-        self.depth = depth
-        self.sector = sector
-        self.gamma = gamma
-        self.out = out
-        self.pop_json = pop_json
-        self.k = k
-        self.m = m
+def _lambda(text, cfg):
+    seq = _ints(text, cfg.r + 1)
+    if any(a < b for a, b in zip(seq, seq[1:])) or seq[-1]:
+        raise ValueError("must be weakly decreasing and end in 0")
+    return seq
 
 
-# Every flag as (flag, RunConfig field, type, help).
-FLAGS = (
-    ("--r", "r", int, "rank of sl_{r+1}; when omitted, inferred from "
-                      "--lambda or --gamma, else 1"),
-    ("--lambda", "lam", str, "dominant weight as its sequence, e.g. 2,1,0"),
-    ("--kmax", "kmax", int, "largest shift in stability checks"),
-    ("--depth", "depth", int, "depth bound (or energy bound for brackets)"),
-    ("--sector", "sector", int, "restrict to one level-one module"),
-    ("--gamma", "gamma", str, "root lattice element as comma-separated "
-                              "simple-root coefficients"),
-    ("--m", "m", int, "size for colored partitions"),
-    ("--pop", "pop_json", str, "POP as JSON {\"rows\":..., \"overlay\":...}"),
-    ("--k", "k", int, "shift for the vector"),
-    ("--out", "out", str, "write the report to a file"),
-)
+def _gamma(text, cfg):
+    terms = (c * simple_root(cfg.r, a)
+             for a, c in enumerate(_ints(text, cfg.r), 1))
+    return sum(terms, zero_weight(cfg.r))
 
-# The flags each command reads besides --out; any other flag is a usage error.
+
+def _sector(text, cfg):
+    if int(text) > cfg.r:
+        raise ValueError("must be at most r")
+    return int(text)
+
+
+# Every flag as flag -> (config field, parser, least value, help).  A parser
+# takes the text and the config parsed so far: --r comes first.
+FLAGS = {
+    "--r": ("r", _int, 1, "rank of sl_{r+1}, inferred when omitted"),
+    "--lambda": ("lam", _lambda, None, "dominant weight sequence, e.g. 2,1,0"),
+    "--kmax": ("kmax", _int, 0, "largest shift in stability checks"),
+    "--depth": ("depth", _int, 0, "depth bound (or energy bound for brackets)"),
+    "--sector": ("sector", _sector, 0, "restrict to one level-one module"),
+    "--gamma": ("gamma", _gamma, None, "root lattice element as comma-"
+                                       "separated simple-root coefficients"),
+    "--m": ("m", _int, 0, "size for colored partitions"),
+    "--pop": ("pop", lambda text, cfg: POP.from_json(json.loads(text)), None,
+              "POP as JSON {\"rows\":..., \"overlay\":...}"),
+    "--k": ("k", _int, 0, "shift for the vector"),
+    "--out": ("out", lambda text, cfg: text, None,
+              "write the report to a file"),
+}
+
+# The flags each command reads besides --out, each with its default: None
+# leaves the flag unset (every sector, the default weights, no depth bound)
+# and "required" marks a flag the command needs.  Any other flag is bad input.
 COMMANDS = {
-    "enumerate": {"patterns": "--r --lambda",
-                  "pops": "--r --lambda --depth",
-                  "colored": "--r --m"},
-    "verify": {"identities": "--r --lambda",
-               "dims": "--r --depth --sector",
-               "brackets": "--r --depth --sector",
-               "translate": "--r",
-               "weights": "--r --lambda",
-               "stability": "--r --lambda --depth --kmax",
-               "mtp": "--r --lambda --depth",
-               "chain": "--r --lambda",
-               "basis": "--r --gamma --depth --sector",
-               "collapse": "--r --depth"},
-    "dump": {"cocycle": "--r",
-             "vector": "--pop --k"},
+    "enumerate": {"patterns": {"--r": 1, "--lambda": "required"},
+                  "pops": {"--r": 1, "--lambda": "required", "--depth": None},
+                  "colored": {"--r": 1, "--m": 0}},
+    "verify": {"identities": {"--r": 1, "--lambda": None},
+               "dims": {"--r": 1, "--depth": 4, "--sector": None},
+               "brackets": {"--r": 1, "--depth": 3, "--sector": None},
+               "translate": {"--r": 1},
+               "weights": {"--r": 1, "--lambda": None},
+               "stability": {"--r": 1, "--lambda": None, "--depth": 3,
+                             "--kmax": 2},
+               "mtp": {"--r": 1, "--lambda": None, "--depth": 3},
+               "chain": {"--r": 1, "--lambda": None},
+               "basis": {"--r": 1, "--gamma": None, "--depth": 2,
+                         "--sector": None},
+               "collapse": {"--r": 1, "--depth": 4}},
+    "dump": {"cocycle": {"--r": 1},
+             "vector": {"--pop": "required", "--k": 0}},
 }
 
 
+def _flags_read(reads):
+    return " ".join(flag if default is None else "%s %s" % (flag, default)
+                    for flag, default in reads.items())
+
+
 def parse_config(argv):
+    """The configuration of one invocation, every flag the command reads
+    parsed, bounded and defaulted per FLAGS and COMMANDS, and `sectors` the
+    sectors to run; raises UsageError on bad input."""
     parser = argparse.ArgumentParser(
         prog="popfock",
         description="Exact verification suite for partition overlaid patterns "
                     "and the level-one lattice Fock model.")
     flags = argparse.ArgumentParser(add_help=False,
                                     argument_default=argparse.SUPPRESS)
-    for flag, dest, kind, text in FLAGS:
-        flags.add_argument(flag, dest=dest, type=kind, help=text)
+    for flag, (dest, _, _, text) in FLAGS.items():
+        flags.add_argument(flag, dest=flag, metavar=dest.upper(), help=text)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, text in (("enumerate", "enumerate combinatorial objects"),
                           ("verify", "run a verification suite"),
                           ("dump", "dump the cocycle table or a vector")):
         reads = COMMANDS[command]
         p = sub.add_parser(command, help=text, parents=[flags],
-                           epilog="flags read: " + "; ".join(
-                               "%s %s --out" % kv for kv in reads.items()))
+                           epilog="flags read, with their defaults: "
+                           + "; ".join("%s %s --out" % (suite, _flags_read(f))
+                                       for suite, f in reads.items()))
         p.add_argument("suite", choices=list(reads))
 
-    ns = vars(parser.parse_args(argv))
-    reads = COMMANDS[ns["command"]][ns["suite"]].split() + ["--out"]
-    for flag, dest, _, _ in FLAGS:
-        if dest in ns and flag not in reads:
-            raise UsageError("%s %s does not read %s"
-                             % (ns["command"], ns["suite"], flag))
-    if "lam" in ns:
-        ns.setdefault("r", ns["lam"].count(","))
-        ns["lam"] = _parse_lambda(ns["lam"], ns["r"])
-    if "gamma" in ns:
-        ns.setdefault("r", ns["gamma"].count(",") + 1)
-    return RunConfig(**ns)
-
-
-def _parse_gamma(text, r):
-    try:
-        coeffs = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError("--gamma must be a comma-separated integer sequence")
-    if len(coeffs) != r:
-        raise UsageError("--gamma needs r simple-root coefficients")
-    out = zero_weight(r)
-    for a, c in enumerate(coeffs, start=1):
-        out = out + c * simple_root(r, a)
-    return out
+    given = vars(parser.parse_args(argv))
+    cfg = argparse.Namespace(command=given.pop("command"),
+                             suite=given.pop("suite"))
+    reads = dict(COMMANDS[cfg.command][cfg.suite], **{"--out": None})
+    name = "%s %s" % (cfg.command, cfg.suite)
+    for flag in FLAGS:
+        if flag in given and flag not in reads:
+            raise UsageError("%s does not read %s" % (name, flag))
+    for flag, extra in (("--lambda", 0), ("--gamma", 1)):
+        if flag in given:
+            given.setdefault("--r", str(given[flag].count(",") + extra))
+    for flag, (dest, parse, least, _) in FLAGS.items():
+        value = reads.get(flag)
+        if value == "required" and flag not in given:
+            raise UsageError("%s needs %s" % (name, flag))
+        if flag in given:
+            try:
+                value = parse(given[flag], cfg)
+                if least is not None and value < least:
+                    raise ValueError("must be at least %d" % least)
+            except (ValueError, LookupError, TypeError, AttributeError,
+                    RecursionError) as exc:
+                raise UsageError("%s: %s" % (flag, exc))
+        setattr(cfg, dest, value)
+    if "--sector" in reads:
+        cfg.sectors = ([cfg.sector] if cfg.sector is not None
+                       else list(range(cfg.r + 1)))
+    return cfg
 
 
 def _default_lambdas(r):
@@ -166,11 +175,10 @@ def _lambda_set(cfg):
 
 
 def _stable_pops(cfg):
-    """Stable POPs of depth at most --depth (default 3) over the lambda set."""
-    depth_bound = cfg.depth if cfg.depth is not None else 3
+    """Stable POPs of depth at most --depth over the lambda set."""
     for seq in _lambda_set(cfg):
         for P in enumerate_pops(seq):
-            if is_stable(P) and depth_total(P) <= depth_bound:
+            if is_stable(P) and depth_total(P) <= cfg.depth:
                 yield P
 
 
@@ -222,14 +230,12 @@ def suite_identities(cfg):
 def suite_dims(cfg):
     reports = []
     r = cfg.r
-    sectors = [cfg.sector] if cfg.sector is not None else list(range(r + 1))
-    mmax = cfg.depth if cfg.depth is not None else 4
     # the root lattice points gamma with (gamma|gamma) <= 8
     gammas = [c for c, _ in fock.lattice_points(r, 0, 4)]
-    for i in sectors:
+    for i in cfg.sectors:
         for c in gammas:
             gq = FiniteWeight(r, c)
-            for m in range(mmax + 1):
+            for m in range(cfg.depth + 1):
                 got = fock.graded_dim(r, i, gq, m)
                 want = colored_partitions(r, m, count_only=True)
                 reports.append(_report(
@@ -390,19 +396,17 @@ def _bracket_failures(r, emax, keys):
 def suite_brackets(cfg):
     reports = []
     r = cfg.r
-    emax = cfg.depth if cfg.depth is not None else 3
-    sectors = [cfg.sector] if cfg.sector is not None else list(range(r + 1))
     n_pairs = len(all_roots(r)) ** 2 * len(_BRACKET_MODES) ** 2
-    for i in sectors:
-        keys = fock.enumerate_keys(r, i, emax)
-        bad = next(_bracket_failures(r, emax, keys), None)
+    for i in cfg.sectors:
+        keys = fock.enumerate_keys(r, i, cfg.depth)
+        bad = next(_bracket_failures(r, cfg.depth, keys), None)
         witness = None
         if bad is not None:
             al, be, s1, s2, k = bad
             witness = {"al": al.to_json(), "be": be.to_json(),
                        "s1": s1, "s2": s2, "key": repr(keys[k])}
         reports.append(_report(
-            "brackets", {"r": r, "sector": i, "emax": emax,
+            "brackets", {"r": r, "sector": i, "emax": cfg.depth,
                          "instances": n_pairs * len(keys)},
             bad is None, witness))
     return reports
@@ -518,13 +522,11 @@ def suite_chain(cfg):
 def suite_basis(cfg):
     reports = []
     r = cfg.r
-    gammas = ([_parse_gamma(cfg.gamma, r)] if cfg.gamma
+    gammas = ([cfg.gamma] if cfg.gamma is not None
               else [zero_weight(r), simple_root(r, 1)])
-    dmax = cfg.depth if cfg.depth is not None else 2
-    sectors = [cfg.sector] if cfg.sector is not None else list(range(r + 1))
     for gq in gammas:
-        for i in sectors:
-            for d in range(dmax + 1):
+        for i in cfg.sectors:
+            for d in range(cfg.depth + 1):
                 _, rep = clbasis.stable_basis(i, gq, d)
                 reports.append(rep)
     return reports
@@ -561,15 +563,14 @@ def suite_collapse(cfg):
     collapsed = lru_cache(maxsize=None)(clbasis._crucprop_collapsed)
     reports = []
     r = cfg.r
-    depth = cfg.depth if cfg.depth is not None else 4
     for alpha in dict.fromkeys([simple_root(r, 1), theta(r)]):
-        for family, insts in _collapse_instances(alpha, depth).items():
+        for family, insts in _collapse_instances(alpha, cfg.depth).items():
             reps = (clbasis.verify_crucprop(*args, collapsed=collapsed)
                     for args in insts)
             bad = next((rep for rep in reps if rep["status"] != "pass"), None)
             reports.append(_report(
                 "collapse", {"r": r, "alpha": alpha.to_json(), "family": family,
-                             "depth": depth, "instances": len(insts)},
+                             "depth": cfg.depth, "instances": len(insts)},
                 bad is None, bad))
     return reports
 
@@ -600,18 +601,12 @@ def run(cfg):
     status = 0
     if cfg.command == "enumerate":
         if cfg.suite == "patterns":
-            if cfg.lam is None:
-                raise UsageError("enumerate patterns needs --lambda")
-            for pat in gtpattern.enumerate_patterns(cfg.lam):
-                lines.append(json.dumps(pat.to_json(), sort_keys=True))
+            objs = gtpattern.enumerate_patterns(cfg.lam)
         elif cfg.suite == "pops":
-            if cfg.lam is None:
-                raise UsageError("enumerate pops needs --lambda")
-            for P in enumerate_pops(cfg.lam, depth_filter=cfg.depth):
-                lines.append(json.dumps(P.to_json(), sort_keys=True))
+            objs = enumerate_pops(cfg.lam, depth_filter=cfg.depth)
         else:
-            for cp in colored_partitions(cfg.r, cfg.m):
-                lines.append(json.dumps(cp.to_json()))
+            objs = colored_partitions(cfg.r, cfg.m)
+        lines = [json.dumps(obj.to_json(), sort_keys=True) for obj in objs]
     elif cfg.command == "verify":
         reports = SUITES[cfg.suite](cfg)
         coc_hash = Cocycle(cfg.r).table_hash()
@@ -625,14 +620,7 @@ def run(cfg):
         if cfg.suite == "cocycle":
             lines.append(Cocycle(cfg.r).table_dump().rstrip("\n"))
         else:
-            if cfg.pop_json is None:
-                raise UsageError("dump vector needs --pop")
-            try:
-                P = POP.from_json(json.loads(cfg.pop_json))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise UsageError("--pop is not a valid POP: %s" % exc)
-            v = clbasis.cl_vector(P, cfg.k)
-            lines.extend(v.dump_lines())
+            lines.extend(clbasis.cl_vector(cfg.pop, cfg.k).dump_lines())
     return status, lines
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from popfock import cli, clbasis, fock, gtpattern, pop, translate
-from popfock.cli import (RunConfig, UsageError, _KeyIndex, _bracket_terms,
-                         _scaled, bracket_expected, main, parse_config, run)
+from popfock.cli import (UsageError, _KeyIndex, _bracket_terms, _scaled,
+                         bracket_expected, main, parse_config, run)
 from popfock.rootdata import all_roots, simple_root, theta, zero_weight
 import oracles
 from test_acceptance import C03_ARGV
@@ -32,53 +33,74 @@ def test_parse_examples():
     assert cfg.depth == 1
 
 
+POP_JSON = '{"rows": [[1], [2, 0]]}'
+BAD_INPUT = [
+    "enumerate pops --lambda 1,2,0", "enumerate pops --lambda 2,1",
+    "enumerate pops --r 1 --lambda 2,1,0", "enumerate patterns --r 2",
+    "enumerate colored --m -1", "verify stability --r 0",
+    "verify stability --kmax -1", "verify dims --r 2 --sector 5",
+    "verify basis --r 2 --gamma x,1", "verify basis --gamma 1,x",
+    "dump vector", "dump vector --pop {bad", "dump vector --pop [",
+    "dump vector --pop '%s' --k -1" % POP_JSON,
+    "dump vector --pop '%s' --k -3" % POP_JSON,
+    """dump vector --pop '{"rows": [[1.5], [2, 0]]}'""",
+    """dump vector --pop '{"rows": [[true], [2, 0]]}'""",
+    """dump vector --pop '{"rows": [[1],[2,0]], "overlay": {"1,1": [1.7]}}'""",
+]
+
+
 def test_parse_usage_errors():
-    with pytest.raises(UsageError):
-        parse_config(["enumerate", "pops", "--lambda", "1,2,0"])
-    with pytest.raises(UsageError):
-        parse_config(["enumerate", "pops", "--lambda", "2,1"])
-    with pytest.raises(UsageError):
-        parse_config(["verify", "stability", "--r", "0"])
-    assert main(["enumerate", "pops", "--lambda", "1,2,0"]) == 2
-    assert main(["verify", "basis", "--r", "2", "--gamma", "x,1"]) == 2
-    assert main(["dump", "vector", "--pop", "{bad"]) == 2
+    for argv in BAD_INPUT:
+        with pytest.raises(UsageError):
+            parse_config(shlex.split(argv))
     assert main(["dump", "cocycle", "--r", "2", "--cocycle-table"]) == 2
     with pytest.raises(SystemExit):
         parse_config(["verify", "nosuchsuite"])
 
 
-# The flags each command reads besides --out, as the README's CLI table
-# lists them, and a value each flag parses.
-READS = {
-    "enumerate patterns": "--r --lambda",
-    "enumerate pops": "--r --lambda --depth",
-    "enumerate colored": "--r --m",
-    "verify identities": "--r --lambda",
-    "verify dims": "--r --depth --sector",
-    "verify brackets": "--r --depth --sector",
-    "verify translate": "--r",
-    "verify weights": "--r --lambda",
-    "verify stability": "--r --lambda --depth --kmax",
-    "verify mtp": "--r --lambda --depth",
-    "verify chain": "--r --lambda",
-    "verify basis": "--r --gamma --depth --sector",
-    "verify collapse": "--r --depth",
-    "dump cocycle": "--r",
-    "dump vector": "--pop --k",
-}
+def test_bad_input_leaves_out_unopened(tmp_path, capsys):
+    path = tmp_path / "report.jsonl"
+    path.write_text("kept\n")
+    for argv in BAD_INPUT:
+        assert main(shlex.split(argv) + ["--out", str(path)]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert path.read_text() == "kept\n"
+
+
+def _cli_row(flags, defaults):
+    """A row of the README's CLI table as {flag: default}."""
+    values = {f: int(n) for f, n in re.findall(r"`(--\w+) (\d+)`", defaults)}
+    return {f: "required" if required else values.get(f)
+            for f, required in re.findall(r"`(--\w+)`( \(required\))?", flags)}
+
+
+# The README's CLI table, {command: {flag it reads besides --out: default}},
+# and a value each flag parses.
+READS = {command: _cli_row(flags, defaults) for command, flags, defaults
+         in re.findall(r"^\| (\w+ \w+) \| (.*) \| (.*) \|$",
+                       (ROOT / "README.md").read_text(), re.M)}
 VALUES = {"--r": "1", "--lambda": "1,0", "--kmax": "0", "--depth": "0",
-          "--sector": "0", "--gamma": "0", "--m": "0", "--pop": "{}",
+          "--sector": "0", "--gamma": "0", "--m": "0", "--pop": POP_JSON,
           "--k": "0", "--out": "report.jsonl"}
-READ_PAIRS = [(command, flag) for command, flags in READS.items()
-              for flag in flags.split() + ["--out"]]
-UNREAD_PAIRS = [(command, flag) for command in READS for flag in VALUES
-                if (command, flag) not in READ_PAIRS]
+UNREAD_PAIRS = [(command, flag) for command, reads in READS.items()
+                for flag in VALUES if flag not in [*reads, "--out"]]
 
 
 def test_read_flags_are_accepted():
-    assert len(READ_PAIRS) == 51
-    for command, flag in READ_PAIRS:
-        parse_config(command.split() + [flag, VALUES[flag]])
+    assert READS == {"%s %s" % (command, suite): reads
+                     for command, suites in cli.COMMANDS.items()
+                     for suite, reads in suites.items()}
+    assert sum(len(reads) + 1 for reads in READS.values()) == 51  # --out too
+    for command, reads in READS.items():
+        need = [flag for flag, d in reads.items() if d == "required"]
+        argv = command.split() + [w for f in need for w in (f, VALUES[f])]
+        # each default is the value a run gets without the flag
+        cfg = parse_config(argv)
+        assert all(getattr(cfg, cli.FLAGS[flag][0]) == d
+                   for flag, d in reads.items() if d != "required")
+        for flag in [*reads, "--out"]:
+            parse_config(argv + [flag, VALUES[flag]])
 
 
 @pytest.mark.parametrize("command,flag", UNREAD_PAIRS)
@@ -229,9 +251,6 @@ def test_unwritable_out_is_bad_input_before_the_run(monkeypatch, capsys,
 def test_rank_inferred_from_input():
     assert parse_config(["enumerate", "patterns", "--lambda", "2,1,0"]).r == 2
     assert parse_config(["verify", "basis", "--gamma", "1,0,0"]).r == 3
-    assert parse_config(["verify", "identities"]).r == 1
-    with pytest.raises(UsageError):
-        parse_config(["enumerate", "pops", "--r", "1", "--lambda", "2,1,0"])
 
 
 def test_readme_examples_run():
@@ -390,7 +409,6 @@ def test_dump_cocycle_and_vector():
     pop_json = json.dumps({"rows": [[1], [2, 0]], "overlay": {"1,1": [1]}})
     _, lines = run(parse_config(["dump", "vector", "--pop", pop_json]))
     assert lines == ["gamma=0,0 modes=[(1,1)x1] coeff=-1/1"]
-    assert main(["dump", "vector"]) == 2
 
 
 def test_out_file(tmp_path):
@@ -413,12 +431,3 @@ def test_every_suite_runs_clean_rank1():
         status, lines = run(parse_config(["verify", suite, "--r", "1"] + extra))
         assert status == 0, (suite, lines)
         assert lines
-
-
-def test_runconfig_validation():
-    with pytest.raises(UsageError):
-        RunConfig("verify", r=0)
-    with pytest.raises(UsageError):
-        RunConfig("verify", kmax=-1)
-    with pytest.raises(UsageError):
-        RunConfig("verify", r=2, sector=5)
