@@ -58,6 +58,22 @@ def test_parse_usage_errors():
         parse_config(["verify", "nosuchsuite"])
 
 
+def test_runconfig_validation():
+    # each bound of the run config holds at its edge: r >= 1, kmax >= 0 and
+    # 0 <= sector <= r are accepted, one step past each is bad input
+    cfg = parse_config(["verify", "stability", "--r", "1", "--kmax", "0"])
+    assert cfg.r == 1 and cfg.kmax == 0
+    assert parse_config(["verify", "dims", "--r", "2", "--sector", "2"]
+                        ).sectors == [2]
+    assert parse_config(["verify", "dims", "--r", "2", "--sector", "0"]
+                        ).sectors == [0]
+    for argv in ["verify stability --r 0", "verify stability --kmax -1",
+                 "verify dims --r 2 --sector 3",
+                 "verify dims --r 2 --sector -1"]:
+        with pytest.raises(UsageError):
+            parse_config(shlex.split(argv))
+
+
 def test_bad_input_leaves_out_unopened(tmp_path, capsys):
     path = tmp_path / "report.jsonl"
     path.write_text("kept\n")
