@@ -601,12 +601,16 @@ def run(cfg):
     status = 0
     if cfg.command == "enumerate":
         if cfg.suite == "patterns":
-            objs = gtpattern.enumerate_patterns(cfg.lam)
+            objs = [P.to_json() for P in gtpattern.enumerate_patterns(cfg.lam)]
         elif cfg.suite == "pops":
-            objs = enumerate_pops(cfg.lam, depth_filter=cfg.depth)
+            objs = [P.to_json()
+                    for P in enumerate_pops(cfg.lam, depth_filter=cfg.depth)]
         else:
-            objs = colored_partitions(cfg.r, cfg.m)
-        lines = [json.dumps(obj.to_json(), sort_keys=True) for obj in objs]
+            # each multiset as its r part lists, decreasing within a color
+            objs = [[[n for b, n in reversed(modes) if b == a]
+                     for a in range(1, cfg.r + 1)]
+                    for modes in colored_partitions(cfg.r, cfg.m)]
+        lines = [json.dumps(obj, sort_keys=True) for obj in objs]
     elif cfg.command == "verify":
         reports = SUITES[cfg.suite](cfg)
         coc_hash = Cocycle(cfg.r).table_hash()

@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, gcd, isqrt, lcm
 
+from .partitions import colored_partitions
 from .rootdata import (AffineWeight, FiniteWeight, bilinear, fundamental,
                        is_root, simple_root)
 from .translate import eps_tilde
@@ -398,27 +399,6 @@ def weight_of(v):
     return AffineWeight(gamma, 1, -energy).assert_integral()
 
 
-def _mode_multisets(r, total):
-    """All creation multisets with the given total degree, deterministic order."""
-    labels = [(a, n) for n in range(1, total + 1) for a in range(1, r + 1)]
-
-    def rec(idx, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        if idx == len(labels):
-            return
-        a, n = labels[idx]
-        max_count = remaining // n
-        for count in range(max_count + 1):
-            for rest in rec(idx + 1, remaining - count * n):
-                yield ((a, n),) * count + rest
-
-    if total == 0:
-        return [()]
-    return sorted(set(rec(0, total)))
-
-
 def graded_dim(r, i, gamma_q, m):
     """Dimension of the weight space t_gamma(Lambda_i) - m delta: the number
     of keys with lattice point varpi_i + gamma and mode sum m."""
@@ -426,7 +406,7 @@ def graded_dim(r, i, gamma_q, m):
         raise ValueError("gamma must lie in the root lattice")
     if m < 0:
         return 0
-    return len(_mode_multisets(r, m))
+    return len(colored_partitions(r, m))
 
 
 def lattice_points(r, i, emax):
@@ -455,12 +435,16 @@ def lattice_points(r, i, emax):
 
 
 def enumerate_keys(r, i, emax):
-    """All keys of the sector-i module with energy at most emax."""
+    """All keys of the sector-i module with energy at most emax: by lattice
+    point, then mode sum, then the multiset's pairs listed in (n, a) order."""
+    modes_of = [sorted(colored_partitions(r, m),
+                       key=lambda modes: sorted(modes, key=lambda p: p[::-1]))
+                for m in range(emax + 1)]
     keys = []
     for c, e0 in lattice_points(r, i, emax):
         fw = FiniteWeight(r, c)
         for m in range(emax - e0 + 1):
-            for modes in _mode_multisets(r, m):
+            for modes in modes_of[m]:
                 keys.append(FockKey(fw, modes))
     return keys
 

@@ -18,7 +18,9 @@ class GTPattern:
     __slots__ = ("r", "rows", "_stats")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(map(tuple, rows))
+        if any(type(x) is not int for row in rows for x in row):
+            raise ValueError("pattern entries must be integers")
         if not rows:
             raise ValueError("empty pattern")
         for j, row in enumerate(rows, start=1):

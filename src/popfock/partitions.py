@@ -11,12 +11,18 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts if int(p) != 0)
-        if any(p < 0 for p in parts):
-            raise ValueError("negative part")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts not weakly decreasing")
-        object.__setattr__(self, "parts", parts)
+        parts = tuple(parts)
+        last = None
+        for p in parts:
+            if type(p) is not int:
+                raise ValueError("part %r is not an integer" % (p,))
+            if p < 0:
+                raise ValueError("negative part")
+            if p:
+                if last is not None and last < p:
+                    raise ValueError("parts not weakly decreasing")
+                last = p
+        object.__setattr__(self, "parts", tuple(filter(None, parts)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -42,10 +48,10 @@ class Partition:
 
 
 def fits_rectangle(pi, d, dprime):
-    """True iff pi has at most d parts, each at most dprime."""
-    if len(pi.parts) > d:
-        return False
-    return all(p <= dprime for p in pi.parts)
+    """True iff pi has at most d parts, each at most dprime; the first part
+    is the largest."""
+    parts = pi.parts
+    return len(parts) <= d and (not parts or parts[0] <= dprime)
 
 
 def enumerate_rect(d, dprime):
@@ -81,64 +87,30 @@ def _partitions_of(m, cap):
     return tuple(out)
 
 
-class ColoredPartition:
-    """Ordered r-tuple of partitions; component i holds the parts of color i."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        components = tuple(components)
-        if not components:
-            raise ValueError("need at least one color")
-        if not all(isinstance(c, Partition) for c in components):
-            raise TypeError("components must be Partitions")
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColoredPartition is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, ColoredPartition) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __repr__(self):
-        return "ColoredPartition(%r)" % (list(self.components),)
-
-    def size(self):
-        return sum(c.size() for c in self.components)
-
-    def to_json(self):
-        return [c.to_json() for c in self.components]
-
-
 def colored_partitions(r, m, count_only=False):
     """All r-colored partitions of m, or just their number.
 
-    The count satisfies the generating function prod_{n>=1} (1-q^n)^{-r}.
+    Each is its creation multiset, a sorted tuple of (color, part) pairs as
+    in FockKey.modes.  Color 1 takes each size 0..m in turn, its partitions
+    in decreasing lexicographic order, and the later colors share the rest
+    alike.  The count satisfies prod_{n>=1} (1-q^n)^{-r}.
     """
     if r < 1 or m < 0:
         raise ValueError("need r >= 1 and m >= 0")
     if count_only:
         return _colored_count(r, m)
-    out = []
 
-    def rec(color, remaining, acc):
-        if color == r - 1:
-            for parts in _partitions_of(remaining, remaining if remaining else 1):
-                acc.append(Partition(parts))
-                out.append(ColoredPartition(tuple(acc)))
-                acc.pop()
+    def rec(a, left):
+        if a > r:
+            yield ()
             return
-        for size in range(remaining + 1):
-            for parts in _partitions_of(size, size if size else 1):
-                acc.append(Partition(parts))
-                rec(color + 1, remaining - size, acc)
-                acc.pop()
+        for size in (left,) if a == r else range(left + 1):
+            for parts in _partitions_of(size, size):
+                head = tuple((a, n) for n in reversed(parts))
+                for rest in rec(a + 1, left - size):
+                    yield head + rest
 
-    rec(0, m, [])
-    return out
+    return list(rec(1, m))
 
 
 @lru_cache(maxsize=None)

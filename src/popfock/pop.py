@@ -86,9 +86,6 @@ class POP:
     def from_json(cls, obj):
         """The POP of a decoded JSON object, whose entries must be integers."""
         rows, overlay = obj["rows"], obj.get("overlay", {})
-        if any(type(x) is not int
-               for seq in [*rows, *overlay.values()] for x in seq):
-            raise ValueError("pattern and overlay entries must be integers")
         return cls(GTPattern(rows),
                    {tuple(int(t) for t in key.split(",")): Partition(parts)
                     for key, parts in overlay.items()})

@@ -1,10 +1,11 @@
 """Slow, independent implementations that the tests compare the library
 against: pattern statistics and the depth table read from the pattern
 entries, brute-force POP enumeration, the column-grouped basis operator,
-direct constructions of Heisenberg polynomials and weight-space keys, and
-the root action on FockKeys with Fraction coefficients.  Also the helpers
-only the tests use: the shift of patterns and POPs, restriction, the
-Chevalley generators and the positive-root test."""
+direct constructions of Heisenberg polynomials, and the root action on
+FockKeys with Fraction coefficients.  Also the helpers only the tests use:
+the shift of patterns and POPs, restriction, the Chevalley generators, the
+positive-root test, and the keys of one weight space, which are built from
+the library's own colored_partitions and so are not independent of it."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -13,10 +14,9 @@ from math import comb, factorial
 from popfock.clbasis import OperatorWord, cl_monomial
 from popfock import fock
 from popfock.fock import (FockKey, FockVector, _alpha_simple_coeffs,
-                          _mode_multisets, _times_alpha_mode, act_heisenberg,
-                          zero_vector)
+                          _times_alpha_mode, act_heisenberg, zero_vector)
 from popfock.gtpattern import GTPattern
-from popfock.partitions import enumerate_rect
+from popfock.partitions import colored_partitions, enumerate_rect
 from popfock.pop import POP
 from popfock.rootdata import (FiniteWeight, bilinear, fundamental, is_root,
                               pos_root, simple_root, theta)
@@ -179,7 +179,7 @@ def rho_column(P, k=0, s=1):
 
 def weight_space_keys(r, i, gamma_q, m):
     g = fundamental(r, i) + gamma_q
-    return [FockKey(g, modes) for modes in _mode_multisets(r, m)]
+    return [FockKey(g, modes) for modes in colored_partitions(r, m)]
 
 
 def apply_poly(terms, v):

@@ -399,12 +399,6 @@ def test_enumerate_patterns_and_colored():
     assert len(lines) == 5
 
 
-def test_identities_suite_single_lambda():
-    status, lines = run(parse_config(
-        ["verify", "identities", "--r", "2", "--lambda", "2,1,0"]))
-    assert status == 0
-
-
 def test_report_determinism():
     argv = ["verify", "weights", "--r", "1", "--lambda", "2,0"]
     out1 = run(parse_config(argv))

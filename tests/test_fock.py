@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from popfock.fock import (FockKey, FockVector, act_heisenberg,
                           zero_vector)
 from popfock.rootdata import (AffineWeight, FiniteWeight, Lambda, all_roots,
                               bilinear, fundamental, simple_root, zero_weight)
-from popfock.cli import bracket_expected
+from popfock.cli import bracket_expected, parse_config, run
 from popfock.clbasis import OperatorWord
 import oracles
 from oracles import act_chevalley, apply_poly, weight_space_keys
@@ -319,6 +320,22 @@ def test_graded_dim_examples():
     assert graded_dim(1, 0, zero_weight(1), 2) == 2
     assert graded_dim(2, 0, zero_weight(2), 2) == 5
     assert graded_dim(2, 1, simple_root(2, 1), 0) == 1
+
+
+def test_key_and_colored_partition_orders_pinned():
+    # the suites pick keys by position in enumerate_keys (vecs[:5], [:n]),
+    # so its order is pinned, as are the `enumerate colored` report lines
+    keys = ["%d %d %r %r" % (r, i, k.gamma.lattice_rep(), k.modes)
+            for r in (1, 2, 3) for i in range(r + 1)
+            for k in enumerate_keys(r, i, 4)]
+    colored = ["%d %d %s" % (r, m, line) for r in (1, 2, 3) for m in range(7)
+               for line in run(parse_config(["enumerate", "colored", "--r",
+                                             str(r), "--m", str(m)]))[1]]
+    assert (len(keys), len(colored)) == (4520, 584)
+    assert [hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            for lines in (keys, colored)] == [
+        "6635b58d5c7ab9b37973cb6652a8f5224beea458dd37c82f70ac2f3e69f76fa6",
+        "4b32757d79539f1df137770e38949716f3b331fe5cd9cce38803375e2bd5cbc0"]
 
 
 def test_weight_space_keys_consistent():

@@ -11,6 +11,10 @@ def test_validate_examples():
     with pytest.raises(ValueError):
         GTPattern([[2], [1, 0]])
     GTPattern([[0], [0, 0], [0, 0, 0]])
+    # entries are not truncated: floats and bools are rejected
+    for rows in ([[1.5], [2, 0]], [[1], [2.0, 0]], [[True], [2, 0]]):
+        with pytest.raises(ValueError):
+            GTPattern(rows)
 
 
 def test_validate_reports_position():

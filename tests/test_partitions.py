@@ -2,8 +2,7 @@ from math import comb
 
 import pytest
 
-from popfock.partitions import (ColoredPartition, Partition,
-                                colored_partitions, enumerate_rect,
+from popfock.partitions import (Partition, colored_partitions, enumerate_rect,
                                 fits_rectangle)
 
 
@@ -32,12 +31,17 @@ def test_partition_validation():
     assert Partition((3, 0, 0)).parts == (3,)
     with pytest.raises(ValueError):
         Partition((1, 2))
+    # parts are not truncated: floats (a zero one too) and bools are rejected
+    for parts in ([2.7, 1], [2, True], [3, 0.0]):
+        with pytest.raises(ValueError):
+            Partition(parts)
 
 
 def test_fits_rectangle_examples():
     assert fits_rectangle(Partition((2, 1)), 2, 3)
     assert fits_rectangle(Partition(()), 0, 0)
     assert not fits_rectangle(Partition((3,)), 2, 2)
+    assert not fits_rectangle(Partition((3, 1)), 2, 2)
 
 
 def test_enumerate_rect_examples():
@@ -69,12 +73,7 @@ def test_colored_partitions_match_series():
             enum = colored_partitions(r, m)
             assert len(enum) == count
             assert len(set(enum)) == count
-            assert all(cp.size() == m for cp in enum)
-
-
-def test_colored_partition_type():
-    cp = ColoredPartition((Partition((2,)), Partition(())))
-    assert cp.size() == 2
-    assert cp.to_json() == [[2], []]
-    with pytest.raises(ValueError):
-        ColoredPartition(())
+            for modes in enum:
+                assert list(modes) == sorted(modes)
+                assert all(1 <= a <= r and n >= 1 for a, n in modes)
+                assert sum(n for _, n in modes) == m
