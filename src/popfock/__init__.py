@@ -3,8 +3,8 @@ Fock model of the level-one modules of affine sl_{r+1}, and verification of
 the stability of the normalized pattern-indexed bases."""
 
 from .rootdata import (AffineWeight, FiniteWeight, Lambda, bilinear,
-                       fundamental, pos_root, residue_class, simple_root,
-                       theta, translate_weight, weight_from_seq, zero_weight)
+                       fundamental, pos_root, simple_root, theta,
+                       translate_weight, weight_from_seq, zero_weight)
 from .partitions import Partition, colored_partitions, enumerate_rect, fits_rectangle
 from .gtpattern import GTPattern, enumerate_patterns
 from .pop import POP, area_identity, depth, enumerate_pops, is_stable

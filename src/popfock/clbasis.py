@@ -17,8 +17,7 @@ from .partitions import colored_partitions, fits_rectangle
 from .pop import (depth, depth_total, enumerate_pops, is_stable,
                   shift_bijection_check)
 from .rootdata import (AffineWeight, Lambda, bilinear, dominant_seqs,
-                       fundamental, pos_root, residue_class,
-                       seq_from_fundamental, theta, translate_weight,
+                       fundamental, pos_root, theta, translate_weight,
                        weight_from_seq, zero_weight)
 from .translate import Cocycle
 
@@ -183,8 +182,7 @@ def verify_weight(P, k=0, v=None):
     """Weight law: wt of v_{P^k} is t_{wt P - varpi}(Lambda_i) - d(P) delta,
     independent of k (artifact delta normalization).  v is cl_vector(P, k)
     when the caller has built it already."""
-    lam = weight_from_seq(P.bounding_seq())
-    i = residue_class(lam)
+    i = weight_from_seq(P.bounding_seq()).class_index()
     if v is None:
         v = cl_vector(P, k)
     if v.is_zero():
@@ -334,9 +332,7 @@ def weyl_span(lam, steps=1):
     r = lam.r
     levels = []
     for j in range(steps + 1):
-        lamj = lam + j * theta(r)
-        seq = seq_from_fundamental(r, lamj.fundamental_coeffs())
-        pops = enumerate_pops(seq)
+        pops = enumerate_pops((lam + j * theta(r)).coords)
         vecs = [cl_vector(P, 0) for P in pops]
         levels.append((pops, vecs))
     dims = [len(v) for _, v in levels]
@@ -362,7 +358,7 @@ def weyl_span(lam, steps=1):
 
 
 def _candidate_lambdas(r, i, max_total):
-    """Dominant weights with residue class i and sequence total at most
+    """Dominant weights of class index i and sequence total at most
     max_total, by total then lex sequence."""
     for total in range(i, max_total + 1, r + 1):
         for seq in dominant_seqs(r, total):
@@ -391,15 +387,15 @@ def stable_basis(i, gamma, d):
     max_total = sum(mu_plus) - (r + 1) * mu_plus[-1] + d * (r + 1)
     lam = None
     for cand in _candidate_lambdas(r, i, max_total):
-        seq0 = seq_from_fundamental(r, cand.fundamental_coeffs())
-        if len(enumerate_pops(seq0, weight=mu, depth_filter=d)) == expected:
+        if len(enumerate_pops(cand.coords, weight=mu,
+                              depth_filter=d)) == expected:
             lam = cand
             break
     inp = {"i": i, "gamma": gamma.to_json(), "d": d}
     if lam is None:
         return [], _report("stable_basis", inp, False,
                            {"reason": "no candidate"})
-    inp["lambda_seq"] = list(seq_from_fundamental(r, lam.fundamental_coeffs()))
+    inp["lambda_seq"] = list(lam.coords)
 
     def build(k):
         """The vectors of P(lam + k theta)_{mu, d}, or a failed report."""

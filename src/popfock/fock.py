@@ -24,7 +24,7 @@ from .translate import eps_tilde
 class FockKey:
     """Basis key: lattice point gamma in varpi_i + Q plus a creation multiset.
 
-    modes is a sorted tuple of (direction, n) pairs with repetition.  The
+    modes is a sorted tuple of (direction, n) int pairs with repetition.  The
     energy (lattice part plus mode sum) is computed once at creation from the
     lattice representative c of gamma, whose entries sum to the sector i:
     (sum c^2 - i) / 2 + sum n.  A key whose energy is not a nonnegative
@@ -34,10 +34,11 @@ class FockKey:
     __slots__ = ("gamma", "modes", "sector", "_hash", "_energy")
 
     def __init__(self, gamma, modes=()):
-        modes = tuple(sorted((int(a), int(n)) for a, n in modes))
+        modes = tuple(sorted((a, n) for a, n in modes))
         for a, n in modes:
-            if not (1 <= a <= gamma.r and n >= 1):
-                raise ValueError("bad mode (%d, %d)" % (a, n))
+            if not (type(a) is int and type(n) is int
+                    and 1 <= a <= gamma.r and n >= 1):
+                raise ValueError("bad mode (%r, %r)" % (a, n))
         lat = gamma.lattice_rep()
         sector = sum(lat)
         lat2 = sum(c * c for c in lat) - sector

@@ -11,7 +11,7 @@ from . import gtpattern
 from .gtpattern import GTPattern
 from .partitions import (Partition, colored_partitions, enumerate_rect,
                          fits_rectangle)
-from .rootdata import seq_from_fundamental, theta
+from .rootdata import theta
 
 
 class POP:
@@ -91,20 +91,15 @@ class POP:
                     for key, parts in overlay.items()})
 
 
-def depth_table(P):
-    """d^j_i = d_{i,j} * sum_{p=i+1}^{j} d'_{p,j} + |pi(j)^i| for all cells."""
-    return {cell: trap + pi.size() for (cell, pi), trap
-            in zip(P.overlay.items(), P.pattern.tables().trap_depth)}
-
-
 def depth(P):
-    """Total depth d(P) plus per-cell table and all restricted depths."""
-    table = depth_table(P)
-    total = sum(table.values())
+    """Per-cell depths d^j_i = d_{i,j} * sum_{p=i+1}^{j} d'_{p,j} + |pi(j)^i|
+    and restricted depths d(P_s), 1 <= s <= r+1; d(P) is depth_total(P)."""
+    table = {cell: trap + pi.size() for (cell, pi), trap
+             in zip(P.overlay.items(), P.pattern.tables().trap_depth)}
     restricted = {}
     for s in range(1, P.r + 2):
         restricted[s] = sum(v for (i, j), v in table.items() if i >= s)
-    return {"table": table, "total": total, "restricted": restricted}
+    return {"table": table, "restricted": restricted}
 
 
 def depth_total(P):
@@ -230,9 +225,8 @@ def shift_bijection_check(lam, mu, d, k):
     if k < d:
         raise ValueError("need k >= d")
     r = lam.r
-    lamk = lam + k * theta(r)
-    seq = seq_from_fundamental(r, lamk.fundamental_coeffs())
-    pops = enumerate_pops(seq, weight=mu, depth_filter=d)
+    pops = enumerate_pops((lam + k * theta(r)).coords, weight=mu,
+                          depth_filter=d)
     expected = colored_partitions(r, d, count_only=True)
     witness = None
     if len(pops) != expected:

@@ -8,21 +8,25 @@ from fractions import Fraction
 class FiniteWeight:
     """Element of the weight lattice P of sl_{r+1}.
 
-    Stored as r+1 epsilon coordinates, canonicalized so the last entry is 0
-    (the coordinates are only defined up to adding a constant sequence).
+    Stored as r+1 integer epsilon coordinates, defined up to a constant
+    sequence and canonicalized so the last entry is 0: a dominant weight's
+    coordinates are its sequence lambda_1 >= ... >= lambda_{r+1} = 0.
     """
 
     __slots__ = ("r", "coords")
 
     def __init__(self, r, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
         if r < 1:
             raise ValueError("rank must be >= 1")
         if len(coords) != r + 1:
             raise ValueError("expected %d coordinates, got %d" % (r + 1, len(coords)))
         last = coords[-1]
+        canon = tuple([c - last for c in coords if type(c) is int])
+        if len(canon) != r + 1:
+            raise ValueError("coordinates must be integers: %r" % (coords,))
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "coords", tuple(c - last for c in coords))
+        object.__setattr__(self, "coords", canon)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteWeight is immutable")
@@ -48,16 +52,15 @@ class FiniteWeight:
         return FiniteWeight(self.r, tuple(-a for a in self.coords))
 
     def __mul__(self, n):
-        return FiniteWeight(self.r, tuple(int(n) * a for a in self.coords))
+        if type(n) is not int:
+            raise ValueError("a weight is scaled by an integer, not %r" % (n,))
+        return FiniteWeight(self.r, tuple(n * a for a in self.coords))
 
     __rmul__ = __mul__
 
     def _check_rank(self, other):
         if self.r != other.r:
             raise ValueError("rank mismatch: %d vs %d" % (self.r, other.r))
-
-    def is_dominant(self):
-        return all(self.coords[i] >= self.coords[i + 1] for i in range(self.r))
 
     def class_index(self):
         """Coset of the weight modulo the root lattice Q, as an index in 0..r."""
@@ -70,10 +73,6 @@ class FiniteWeight:
         cls = total % n
         shift = (total - cls) // n
         return tuple(c - shift for c in self.coords)
-
-    def fundamental_coeffs(self):
-        """Coefficients m_i in the ϖ-basis (may be negative)."""
-        return tuple(self.coords[i] - self.coords[i + 1] for i in range(self.r))
 
     def to_json(self):
         return {"r": self.r, "coords": list(self.coords)}
@@ -135,16 +134,6 @@ def bilinear(x, y):
     return Fraction(n * dot - sum(x.coords) * sum(y.coords), n)
 
 
-def seq_from_fundamental(r, ms):
-    """ϖ-coefficients (m_1,...,m_r) -> sequence (λ_1 >= ... >= λ_{r+1} = 0)."""
-    ms = tuple(int(m) for m in ms)
-    if len(ms) != r:
-        raise ValueError("expected %d coefficients" % r)
-    if any(m < 0 for m in ms):
-        raise ValueError("not dominant: negative fundamental coefficient")
-    return tuple(sum(ms[i:]) for i in range(r)) + (0,)
-
-
 def weight_from_seq(seq):
     return FiniteWeight(len(seq) - 1, seq)
 
@@ -164,13 +153,6 @@ def dominant_seqs(r, total):
 
     rec([], total, total)
     return seqs
-
-
-def residue_class(lam):
-    """i_λ: remainder of λ_1 + ... + λ_{r+1} mod r+1, for dominant λ."""
-    if not lam.is_dominant():
-        raise ValueError("weight is not dominant")
-    return sum(lam.coords) % (lam.r + 1)
 
 
 class AffineWeight:
@@ -201,10 +183,6 @@ class AffineWeight:
 
     def __repr__(self):
         return "AffineWeight(%r, level=%d, delta=%s)" % (self.finite, self.level, self.delta)
-
-    def __add__(self, other):
-        return AffineWeight(self.finite + other.finite, self.level + other.level,
-                            self.delta + other.delta)
 
     def __sub__(self, other):
         return AffineWeight(self.finite - other.finite, self.level - other.level,

@@ -1,15 +1,14 @@
 """Sign table on the root lattice and the translation operators T_x of the
 lattice Fock model, for x in the root lattice and for any weight.
 
-Two sign objects live here.  The bimultiplicative table eps (Cocycle.eps) is
-the fixed reference table: eps(a_i, a_i) = -1, eps(a_i, a_j) = (-1)^(a_i|a_j)
-for i > j, +1 for i < j, extended bimultiplicatively, with a first-argument
-fundamental-weight part dropped.  The translation operators themselves compose
-with a second, non-bimultiplicative cocycle comp_eps, which is the one the
-normalization sign of the basis vectors must use: the two differ (for example
-on the pair (a, a) for a root a), and the stability checks fail under the
-table.  comp_eps is determined by the diagonal sign function _d_sign_lat
-below.
+Two sign objects live here.  The sign form is the bimultiplicative eps_tilde
+on lattice tuples; on the simple roots it is the fixed reference table
+(Cocycle.table): eps(a_i, a_i) = -1, eps(a_i, a_j) = (-1)^(a_i|a_j) for i > j,
++1 for i < j.  The translation operators themselves compose with a second,
+non-bimultiplicative cocycle comp_eps, which is the one the normalization sign
+of the basis vectors must use: the two differ (for example on the pair (a, a)
+for a root a), and the stability checks fail under the table.  comp_eps is
+determined by the diagonal sign function _d_sign_lat below.
 """
 
 from __future__ import annotations
@@ -67,14 +66,9 @@ class Cocycle:
     def __init__(self, r):
         self.r = r
 
-    def eps(self, x, y):
-        """Table value with the fundamental-weight part of x dropped; y in Q
-        uses its zero-sum representative, other cosets their canonical one."""
-        return eps_tilde(_drop_class(x), y.lattice_rep())
-
     def comp_eps(self, x, y):
         """Composition cocycle of the translation operators: the constant in
-        T_x T_y = comp_eps(x, y) T_{x+y}, with the same drop rule on x."""
+        T_x T_y = comp_eps(x, y) T_{x+y}, x's fundamental-weight part dropped."""
         if y.class_index() != 0:
             raise ValueError("second argument must lie in the root lattice")
         xd = _drop_class(x)
@@ -84,9 +78,10 @@ class Cocycle:
                 * eps_tilde(yl, xd))
 
     def table(self):
-        """Matrix of eps on pairs of simple roots, row-major."""
-        return [[self.eps(simple_root(self.r, a), simple_root(self.r, b))
-                 for b in range(1, self.r + 1)] for a in range(1, self.r + 1)]
+        """Matrix of eps_tilde on pairs of simple roots, row-major."""
+        lats = [simple_root(self.r, a).lattice_rep()
+                for a in range(1, self.r + 1)]
+        return [[eps_tilde(x, y) for y in lats] for x in lats]
 
     def table_dump(self):
         lines = ["rank=%d" % self.r]

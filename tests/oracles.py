@@ -94,7 +94,7 @@ def slow_stats(P):
         "norm_half_diff": (bilinear(lam, lam) - bilinear(wt, wt)) / 2}
 
 
-def slow_depth_table(P):
+def slow_cell_depths(P):
     """d^j_i = d_{i,j} * sum_{p=i+1}^{j} d'_{p,j} + |pi(j)^i| for a POP."""
     trap = slow_stats(P.pattern)["trap_depth"]
     return {c: trap[c] + P.overlay[c].size() for c in trap}
@@ -159,7 +159,7 @@ def enumerate_pops_bruteforce(lamseq, weight=None, depth_filter=None):
         for acc in stacks:
             P = POP(pattern, dict(zip(cells, acc)))
             if (depth_filter is not None
-                    and sum(slow_depth_table(P).values()) != depth_filter):
+                    and sum(slow_cell_depths(P).values()) != depth_filter):
                 continue
             out.append(P)
     return out

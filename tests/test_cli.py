@@ -223,24 +223,84 @@ def test_bracket_terms_rank2():
         assert _bracket_terms(al, be) == (roots, cartan)
 
 
-def test_translate_catches_faults(monkeypatch, capsys):
-    # d = 1 for every T_beta breaks the inverse law first at x = alpha_1; a
-    # root vector negated at s = 1 breaks the conjugation law first at
-    # x = -alpha_1
-    act = fock.act_root_vector
-    negated = lambda al, s, v: -act(al, s, v) if s == 1 else act(al, s, v)
-    faults = ((translate, "_d_sign_lat", lambda lat: 1, "inverse", 1),
-              (fock, "act_root_vector", negated, "conjugation", -1))
-    for module, name, fault, prop, sign in faults:
+def test_identities_catches_faults(monkeypatch, capsys):
+    # each fault breaks one check of verify identities at the first POP of
+    # (1, 0): d(P) one too large (area identity), d(P_1) one too large
+    # (depth recursion), a slice I^j_s without its overlay (invariant
+    # recursion)
+    depth, depth_total, inv_slice = (pop.depth, pop.depth_total,
+                                     pop.invariant_slice)
+
+    def restricted_off(P):
+        out = depth(P)
+        out["restricted"][1] += 1
+        return out
+
+    first = {"rows": [[0], [1, 0]], "overlay": {"1,1": []}}
+    diag = "{'trap': 0, 'tri_plus_depth': 1, 'norm_half_diff': Fraction(0, 1)}"
+    faults = (
+        ("depth_total", lambda P: depth_total(P) + 1,
+         {"pop": first, "diag": diag}),
+        ("depth", restricted_off,
+         {"pop": first, "s": 1, "reason": "depth recursion"}),
+        ("invariant_slice", lambda P, s, j: dict(inv_slice(P, s, j), overlay={}),
+         {"pop": first, "s": 1, "reason": "invariant recursion"}))
+    for name, fault, witness in faults:
         with monkeypatch.context() as patch:
-            patch.setattr(module, name, fault)
+            patch.setattr(pop, name, fault)
+            assert main(["verify", "identities", "--r", "1",
+                         "--lambda", "1,0"]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        report = json.loads(line)
+        assert report["status"] == "fail" and report["witness"] == witness
+
+
+def test_translate_catches_faults(monkeypatch, capsys):
+    # each fault breaks one law first, named by the witness: d = 1 for every
+    # T_beta (inverse), a root vector negated at s = 1 (conjugation),
+    # comp_eps negated (composition), alpha_a(0) doubled (Cartan zero mode),
+    # alpha_a(n) for n != 0 signed by the parity of the first lattice entry
+    # (Heisenberg), and T_x and T_x^-1 both negated off Q, which only the
+    # vacuum transport sees
+    act, heis = fock.act_root_vector, fock.act_heisenberg
+    comp = translate.Cocycle.comp_eps
+    negated = lambda al, s, v: -act(al, s, v) if s == 1 else act(al, s, v)
+    doubled = lambda a, n, v: 2 * heis(a, n, v) if n == 0 else heis(a, n, v)
+    off_q = lambda T: lambda x, v: -T(x, v) if x.class_index() else T(x, v)
+
+    def parity(a, n, v):
+        w = heis(a, n, v)
+        return w if n == 0 else fock.FockVector(w.r, w.sector, {
+            k: c * (-1) ** k.gamma.lattice_rep()[0] for k, c in w.terms.items()})
+
+    faults = (
+        ([(translate, "_d_sign_lat", lambda lat: 1)],
+         lambda a1, z: {"prop": "inverse", "x": a1}),
+        ([(fock, "act_root_vector", negated)],
+         lambda a1, z: {"prop": "conjugation", "x": -a1, "root": a1, "s": 1}),
+        ([(translate.Cocycle, "comp_eps", lambda coc, x, y: -comp(coc, x, y))],
+         lambda a1, z: {"prop": "composition", "x": z, "alpha": a1, "d": 0}),
+        ([(fock, "act_heisenberg", doubled)],
+         lambda a1, z: {"prop": "cartan zero mode", "beta": a1, "a": 1}),
+        ([(fock, "act_heisenberg", parity)],
+         lambda a1, z: {"prop": "heisenberg", "beta": a1, "a": 1, "n": -2}),
+        ([(cli, "translate_amount", off_q(cli.translate_amount)),
+          (cli, "translate_amount_inverse",
+           off_q(cli.translate_amount_inverse))],
+         lambda a1, z: {"prop": "vacuum transport", "i": 1}))
+    for patches, witness in faults:
+        with monkeypatch.context() as patch:
+            for module, name, fault in patches:
+                patch.setattr(module, name, fault)
             for r in (1, 2):
                 assert main(["verify", "translate", "--r", str(r)]) == 1
                 (line,) = capsys.readouterr().out.splitlines()
                 report = json.loads(line)
+                want = witness(simple_root(r, 1), zero_weight(r))
                 assert report["status"] == "fail"
-                assert (report["witness"]["prop"], report["witness"]["x"]) \
-                    == (prop, (sign * simple_root(r, 1)).to_json())
+                assert report["witness"] == {
+                    k: v.to_json() if hasattr(v, "to_json") else v
+                    for k, v in want.items()}
 
 
 def test_basis_bound_violation_is_a_failed_report(monkeypatch, capsys):
@@ -404,13 +464,6 @@ def test_report_determinism():
     out1 = run(parse_config(argv))
     out2 = run(parse_config(argv))
     assert out1 == out2
-
-
-def test_reports_carry_cocycle_hash():
-    _, lines = run(parse_config(
-        ["verify", "stability", "--r", "1", "--lambda", "0,0"]))
-    rep = json.loads(lines[0])
-    assert "cocycle" in rep and len(rep["cocycle"]) == 16
 
 
 def test_dump_cocycle_and_vector():

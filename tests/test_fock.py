@@ -32,6 +32,9 @@ def test_vacuum_and_key_basics():
     (key1,) = v1.terms
     assert key1.gamma == fundamental(2, 1)
     assert key1.energy() == 0
+    for modes in ([(1.7, 2)], [(True, 1)], [(1, 2.0)], [(2, True)]):
+        with pytest.raises(ValueError):
+            FockKey(zero_weight(2), modes)
 
 
 def test_key_energy_integral_and_nonneg():
@@ -231,10 +234,13 @@ def test_heisenberg_examples():
 
 
 def test_heisenberg_cross_direction():
-    v = vacuum(2, 0)
-    w = act_heisenberg(1, -1, v)
-    assert act_heisenberg(2, 1, w) == -1 * v
-    assert act_heisenberg(1, 2, w).is_zero()
+    # (alpha_a|alpha_b) is -1 for neighbours and 0 two directions apart
+    for r in (2, 3):
+        v = vacuum(r, 0)
+        w = act_heisenberg(1, -1, v)
+        assert act_heisenberg(2, 1, w) == -1 * v
+        assert act_heisenberg(1, 2, w).is_zero()
+    assert act_heisenberg(3, 1, w).is_zero()
 
 
 def test_root_vector_examples():
@@ -314,12 +320,6 @@ def test_weight_of_errors():
         weight_of(v)
     with pytest.raises(ValueError):
         weight_of(zero_vector(1, 0))
-
-
-def test_graded_dim_examples():
-    assert graded_dim(1, 0, zero_weight(1), 2) == 2
-    assert graded_dim(2, 0, zero_weight(2), 2) == 5
-    assert graded_dim(2, 1, simple_root(2, 1), 0) == 1
 
 
 def test_key_and_colored_partition_orders_pinned():

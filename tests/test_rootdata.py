@@ -5,7 +5,6 @@ import pytest
 
 from popfock.rootdata import (AffineWeight, FiniteWeight, Lambda, all_roots,
                               bilinear, fundamental, is_root, pos_root,
-                              residue_class, seq_from_fundamental,
                               simple_root, theta, translate_weight,
                               weight_from_seq, zero_weight)
 from oracles import is_positive_root
@@ -38,41 +37,28 @@ def test_bilinear_rank_mismatch():
         bilinear(zero_weight(1), zero_weight(2))
 
 
-def test_seq_conversion_examples():
-    assert seq_from_fundamental(2, (1, 1)) == (2, 1, 0)
-    assert seq_from_fundamental(1, (0,)) == (0, 0)
-    assert weight_from_seq((4, 2, 0)).fundamental_coeffs() == (2, 2)
+def test_non_integer_entries_rejected():
+    assert FiniteWeight(2, (3, 2, 1)).coords == (2, 1, 0)
+    for coords in ((1.5, True, 0), (1, 1, 0.0), (True, 0, 0)):
+        with pytest.raises(ValueError):
+            FiniteWeight(2, coords)
+    for n in (2.5, True, Fraction(2)):
+        with pytest.raises(ValueError):
+            n * simple_root(2, 1)
+    assert 2 * simple_root(2, 1) == simple_root(2, 1) + simple_root(2, 1)
 
 
-def test_seq_conversion_roundtrip():
-    for r in (1, 2, 3):
-        for ms in [(0,) * r, (1,) * r, (2, 1, 0)[:r], (3,) + (0,) * (r - 1)]:
-            seq = seq_from_fundamental(r, ms)
-            assert weight_from_seq(seq).fundamental_coeffs() == ms
-
-
-def test_seq_conversion_errors():
-    with pytest.raises(ValueError):
-        seq_from_fundamental(2, (1, -1))
-
-
-def test_residue_class_examples():
-    assert residue_class(fundamental(2, 1)) == 1
-    assert residue_class(zero_weight(2)) == 0
-    assert residue_class(theta(2)) == 0  # theta = w1 + w2, sum 3 mod 3
-
-
-def test_residue_class_theta_invariance():
+def test_class_index_theta_invariance():
+    assert fundamental(2, 1).class_index() == 1
+    assert theta(2).class_index() == 0  # theta = w1 + w2, sum 3 mod 3
     for r in (1, 2, 3):
         for seq in [(0,) * (r + 1), (2,) + (1,) * (r - 1) + (0,),
                     (6,) + (0,) * r]:
             lam = weight_from_seq(seq)
-            if not lam.is_dominant():
-                continue
+            i = lam.class_index()
             for k in range(3):
-                assert residue_class(lam + k * theta(r)) == residue_class(lam)
-                assert (lam - fundamental(r, residue_class(lam))
-                        ).class_index() == 0
+                assert (lam + k * theta(r)).class_index() == i
+                assert (lam - fundamental(r, i)).class_index() == 0
 
 
 def test_translate_weight_examples():

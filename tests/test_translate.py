@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,21 +18,26 @@ def units(r, sector=0, emax=2):
             for k in enumerate_keys(r, sector, emax)]
 
 
+def root_lattice(r):
+    """x in Q from its simple-root coefficients in -3..3."""
+    return st.lists(st.integers(-3, 3), min_size=r, max_size=r).map(
+        lambda cs: sum((c * simple_root(r, a) for a, c in enumerate(cs, 1)),
+                       zero_weight(r)))
+
+
 def test_table_examples():
-    a1 = simple_root(2, 1)
-    a2 = simple_root(2, 2)
-    coc = Cocycle(2)
-    assert coc.eps(a1, a1) == -1
-    assert coc.eps(zero_weight(2), a2) == 1
-    assert coc.eps(a1 + a2, a1) == coc.eps(a1, a1) * coc.eps(a2, a1)
+    assert Cocycle(1).table() == [[-1]]
+    assert Cocycle(2).table() == [[-1, 1], [-1, -1]]
+    a2 = simple_root(2, 2).lattice_rep()
+    assert eps_tilde((0, 0, 0), a2) == eps_tilde(a2, (0, 0, 0)) == 1
 
 
 def test_table_matches_design_rule():
     for r in (2, 3):
-        coc = Cocycle(r)
+        table = Cocycle(r).table()
         for a in range(1, r + 1):
             for b in range(1, r + 1):
-                val = coc.eps(simple_root(r, a), simple_root(r, b))
+                val = table[a - 1][b - 1]
                 if a == b:
                     assert val == -1
                 elif a > b:
@@ -43,44 +47,18 @@ def test_table_matches_design_rule():
                     assert val == 1
 
 
-def test_table_cocycle_invariants():
-    r = 2
-    coc = Cocycle(r)
-    roots_q = [simple_root(r, 1), simple_root(r, 2), theta(r),
-               simple_root(r, 1) - simple_root(r, 2), 2 * theta(r)]
-    for b in roots_q:
-        assert coc.eps(b, b) == (-1) ** (int(bilinear(b, b)) // 2)
-        for bp in roots_q:
-            asym = coc.eps(b, bp) * coc.eps(bp, b)
-            assert asym == (-1) ** int(bilinear(b, bp))
-            for bpp in roots_q:
-                assert coc.eps(b + bpp, bp) == coc.eps(b, bp) * coc.eps(bpp, bp)
-
-
-def test_table_drop_rule():
-    # the fundamental-weight part of the first argument is dropped
-    r = 2
-    coc = Cocycle(r)
-    for i in range(r + 1):
-        varpi = fundamental(r, i)
-        for b in [zero_weight(r), simple_root(r, 1), theta(r)]:
-            for bp in [simple_root(r, 1), simple_root(r, 2)]:
-                assert coc.eps(b + varpi, bp) == coc.eps(b, bp)
-
-
-def test_comp_eps_is_the_composition_constant():
-    for r in (1, 2):
-        coc = Cocycle(r)
-        vs = units(r)[:5]
-        qball = [zero_weight(r), simple_root(r, 1), -simple_root(r, 1),
-                 theta(r), 2 * simple_root(r, 1)]
-        if r == 2:
-            qball += [simple_root(r, 2), simple_root(r, 1) + theta(r)]
-        for b1, b2 in itertools.product(qball, qball):
-            sg = coc.comp_eps(b1, b2)
-            for v in vs:
-                assert translate_Q(b1, translate_Q(b2, v)) == \
-                    sg * translate_Q(b1 + b2, v)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_cocycle_invariants(data):
+    # eps_tilde on Q: eps(b, b) = (-1)^((b|b)/2), eps(b, b') eps(b', b) =
+    # (-1)^(b|b'), bimultiplicative in each argument
+    r = data.draw(st.integers(1, 3))
+    b, bp, bpp = (data.draw(root_lattice(r)) for _ in range(3))
+    eps = lambda x, y: eps_tilde(x.lattice_rep(), y.lattice_rep())
+    assert eps(b, b) == (-1) ** (int(bilinear(b, b)) // 2)
+    assert eps(b, bp) * eps(bp, b) == (-1) ** int(bilinear(b, bp))
+    assert eps(b + bpp, bp) == eps(b, bp) * eps(bpp, bp)
+    assert eps(bp, b + bpp) == eps(bp, b) * eps(bp, bpp)
 
 
 def test_comp_eps_asymmetry_and_inverse_normalization():
@@ -200,13 +178,6 @@ def test_translate_general_examples():
         translate_amount(lam, vacuum(r, 1))
     with pytest.raises(ValueError):
         translate_amount_inverse(fundamental(r, 1), v0)
-
-
-def root_lattice(r):
-    """x in Q from its simple-root coefficients in -3..3."""
-    return st.lists(st.integers(-3, 3), min_size=r, max_size=r).map(
-        lambda cs: sum((c * simple_root(r, a) for a, c in enumerate(cs, 1)),
-                       zero_weight(r)))
 
 
 @settings(max_examples=200, deadline=None)
