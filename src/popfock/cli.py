@@ -9,6 +9,7 @@ the acceptance criteria: the acceptance tests run them with their defaults.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -592,11 +593,10 @@ SUITES = {
 def run(cfg):
     """Execute the configured command; returns (exit_status, report lines).
 
-    The Fock model's root-action and creation-term caches are emptied first,
-    so every run starts cold, as a fresh CLI process does.
+    The Fock model's caches are emptied first, so every run starts cold, as
+    a fresh CLI process does.
     """
-    fock._ROOT_ACTION_CACHE.clear()
-    fock._creation_terms.cache_clear()
+    fock.clear_caches()
     lines = []
     status = 0
     if cfg.command == "enumerate":
@@ -664,9 +664,15 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except Exception as exc:
-        # free the engine caches, so that this handler runs after MemoryError
-        fock._ROOT_ACTION_CACHE.clear()
-        fock._creation_terms.cache_clear()
+        # free what the failed run holds, so that this handler runs after
+        # MemoryError: the engine caches and, for MemoryError, the frames of
+        # its traceback, whose locals (some in reference cycles) keep the
+        # failed call's data alive; gc is imported with the module, as even
+        # that import fails here before the collection
+        fock.clear_caches()
+        if isinstance(exc, MemoryError):
+            exc.__traceback__ = None
+            gc.collect()
         import traceback  # only on this path: it costs start-up time
         traceback.print_exc()
         print(json.dumps({"status": "error", "error": type(exc).__name__,

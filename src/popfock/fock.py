@@ -12,8 +12,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, factorial, gcd, isqrt, lcm
+from itertools import accumulate, groupby
+from math import comb, factorial, gcd, isqrt, lcm, prod
+from operator import itemgetter
 
 from .partitions import colored_partitions
 from .rootdata import (AffineWeight, FiniteWeight, bilinear, fundamental,
@@ -232,11 +233,30 @@ def _times_alpha_mode(cs, n, terms):
 # lattice tuple being the representative whose entries sum to the sector, and
 # a vector is (den, {key: int}), the coefficients being the ints over den.
 #
-# A run of consecutive factors with one root alpha that is not simple creates
-# its modes alpha(-n) in the placeholder label (0, n): the run's annihilators
-# pair them with (alpha|alpha) = 2, and apply_word rewrites them in
-# simple-root modes when the run ends.  Expanding at every factor instead
-# piles up terms that cancel later.  A simple root creates its own mode.
+# apply_word applies each run of consecutive factors with one root beta,
+# prod_i (x_beta (x) t^{s_i})^{m_i} / m_i!, as one block of d = sum m_i
+# factors.  By the Frenkel-Kac operator product, on e^gamma (x) u
+#   x_beta(z_1) ... x_beta(z_d) = eps(beta, beta)^{d(d-1)/2}
+#       eps(beta, gamma)^d prod_{i<j} (z_i - z_j)^2 prod_k z_k^{(beta|gamma)}
+#       E^-(z_1) ... E^-(z_d) E^+(z_1) ... E^+(z_d) e^{gamma + d beta} (x) u,
+# eps(beta, beta) = -1, and each negative root vector carries a sign -1.  The
+# annihilators turn each mode (b, n) they remove into the power sum
+# p_{-n}(z) = sum_k z_k^{-n} (_annihilation_terms); by the Cauchy identity the
+# creators are sum_lambda s_lambda(z) s_lambda[beta(-n)], and
+# prod_{i<j} (z_i - z_j)^2 s_lambda(z) = a_delta a_{lambda+delta}, a product
+# of alternants.  The block's coefficient of prod_k z_k^{-s_k-1} is thus a sum
+# of Schur polynomials s_lambda[beta(-n)] (_schur_terms) with the alternant
+# coefficients of _alternant_coeffs.  The image depends on gamma only through
+# (beta|gamma), which shifts every s_k, the sign eps(beta, gamma)^d and the
+# shift gamma -> gamma + d beta: so the cache holds one image per translation
+# class (beta, ((s_i + (beta|gamma), m_i), ...), u).  tests/oracles.py applies
+# the same words factor by factor, with Fraction coefficients.
+#
+# A block of a root that is not simple creates its modes beta(-n) in the
+# placeholder label (0, n), which apply_word rewrites in simple-root modes
+# when the block ends: summing the images first keeps fewer terms.  A simple
+# root creates its own mode.  The bracket sweep applies single factors by
+# _root_action_kernel, expanded in simple-root modes at once.
 
 
 @lru_cache(maxsize=None)
@@ -262,8 +282,7 @@ def _annihilation_terms(alpha_lat, modes):
     of (kept modes tuple, int coefficient, annihilated degree)."""
     results = [((), 1, 0)]
     for (b, n), mult in sorted(Counter(modes).items()):
-        # -(alpha | alpha_b); the run label 0 is alpha itself
-        c = alpha_lat[b] - alpha_lat[b - 1] if b else -2
+        c = alpha_lat[b] - alpha_lat[b - 1]  # -(alpha | alpha_b)
         new = []
         for kept, coeff, deg in results:
             for j in range(mult + 1 if c else 1):
@@ -302,34 +321,151 @@ def _root_action_kernel(alpha_lat, s, key, cs):
     return L, {(new_lat, m): c for m, c in by_modes.items() if c}
 
 
-def _act_root(alpha_lat, s, vec, cs, div):
-    """x_alpha (x) t^s divided by div, on an engine vector, creating in the
-    label pairs cs; cached per key, so cs must be a function of alpha."""
+@lru_cache(maxsize=None)
+def _alternant_coeffs(t):
+    """The coefficients F_lambda = [z^t] a_delta a_{lambda+delta} for a
+    sorted tuple t of d ints, delta = (d-1, ..., 0): a dict lambda -> int.
+
+    F_lambda sums sgn(D) sgn(w) over the arrangements D of delta's entries
+    with w = t - D distinct and >= 0, lambda + delta being w sorted, and sgn
+    (-1) to the number of pairs k < l that ascend.  Rearranging D within a run
+    of g equal entries of t rearranges w alike and keeps the term, so each
+    run takes its entries in descending order, counted g! times."""
+    d = len(t)
+    weight = prod(factorial(len(list(g))) for _, g in groupby(t))
+    out = {}
+
+    def rec(k, D, w):
+        if k == d:
+            ascents = sum((D[p] < D[q]) != (w[p] < w[q])
+                          for q in range(d) for p in range(q))
+            lam = tuple(filter(None, (x - (d - 1 - p) for p, x in
+                                      enumerate(sorted(w, reverse=True)))))
+            out[lam] = out.get(lam, 0) + (-weight if ascents % 2 else weight)
+            return
+        top = min(t[k], D[-1] - 1 if k and t[k] == t[k - 1] else d - 1)
+        for x in range(top, -1, -1):
+            if x not in D and t[k] - x not in w:
+                rec(k + 1, D + (x,), w + (t[k] - x,))
+
+    rec(0, (), ())
+    return {lam: c for lam, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _schur_terms(cs, lam):
+    """|lam|! times the Schur polynomial s_lam = det(h_{lam_i - i + j}) in
+    the modes alpha(-n) created in the label pairs cs, h_c being
+    _creation_terms(cs, c) / c!: a dict mode tuple -> int.
+
+    The determinant is expanded row by row: after the rows of lam placed in
+    the set of columns `cols`, the degree is fixed, and the partial sum times
+    that degree's factorial is integral."""
+    partial = {(): (0, {(): 1})}  # cols -> (degree, integral partial sum)
+    for i, part in enumerate(lam):
+        nxt = {}
+        for cols, (deg, poly) in partial.items():
+            for j in range(len(lam)):
+                c = part - i + j
+                if j in cols or c < 0:
+                    continue
+                sign = -1 if sum(x > j for x in cols) % 2 else 1
+                f = sign * comb(deg + c, c)
+                h = _creation_terms(cs, c)
+                key = tuple(sorted(cols + (j,)))
+                acc = nxt.setdefault(key, (deg + c, {}))[1]
+                for m1, x1 in poly.items():
+                    for m2, x2 in h.items():
+                        nm = tuple(sorted(m1 + m2))
+                        acc[nm] = acc.get(nm, 0) + f * x1 * x2
+        partial = nxt
+    (_, poly), = partial.values()
+    return {m: x for m, x in poly.items() if x}
+
+
+def _block_kernel(alpha_lat, expos, modes, cs):
+    """prod_i m_i! times the block prod_i (x_alpha (x) t^{s_i})^{m_i} / m_i!,
+    expos the pairs (s_i, m_i), on a key (gamma, modes) with
+    (alpha | gamma) = 0, creating its modes in the label pairs cs, and with
+    gamma's sign and shift left out: (L, {modes: int}), the image being the
+    ints over L = c!, c the largest creation degree used."""
+    d = sum(m for _, m in expos)
+    t = tuple(sorted(-s - 1 for s, m in expos for _ in range(m)))
+    sign = -1 if d * (d - 1) // 2 % 2 else 1  # eps(alpha, alpha) = -1
+    if d % 2 and alpha_lat.index(1) > alpha_lat.index(-1):  # negative root
+        sign = -sign
+    # |lambda| = sum(t) + sum(J) - d(d-1), as a_delta^2 has degree d(d-1)
+    base = sum(t) - d * (d - 1)
+    by_J = {}
+    for kept, acoef, adeg in _annihilation_terms(alpha_lat, modes):
+        if base + adeg >= 0:
+            gone = Counter(modes) - Counter(kept)
+            J = tuple(sorted(n for _, n in gone.elements()))
+            by_J.setdefault(J, []).append((kept, acoef))
+    if not by_J:
+        return 1, {}
+    L = factorial(base + max(sum(J) for J in by_J))
+    by_modes = {}
+    for J, kepts in by_J.items():
+        # prod_{n in J} p_{-n}(z) = sum_b N_b z^{-b}, and [z^t] of z^{-b}
+        # a_delta a_{lambda+delta} is F_lambda(t + b), symmetric in t + b
+        shifts = {t: 1}
+        for n in J:
+            nxt = {}
+            for tb, N in shifts.items():
+                for k in range(d):
+                    up = tuple(sorted(tb[:k] + (tb[k] + n,) + tb[k + 1:]))
+                    nxt[up] = nxt.get(up, 0) + N
+            shifts = nxt
+        created = {}
+        for tb, N in shifts.items():
+            for lam, F in _alternant_coeffs(tb).items():
+                for m, x in _schur_terms(cs, lam).items():
+                    created[m] = created.get(m, 0) + N * F * x
+        scale = sign * (L // factorial(base + sum(J)))
+        for kept, acoef in kepts:
+            acoef *= scale
+            for m, x in created.items():
+                nm = tuple(sorted(kept + m))
+                by_modes[nm] = by_modes.get(nm, 0) + acoef * x
+    return L, {m: c for m, c in by_modes.items() if c}
+
+
+def _apply_block(alpha_lat, expos, vec, cs):
+    """The block prod_i (x_alpha (x) t^{s_i})^{m_i} / m_i!, expos the pairs
+    (s_i, m_i), on an engine vector, creating in the label pairs cs; cached
+    per translation class, so cs must be a function of alpha."""
     den, terms = vec
+    d = sum(m for _, m in expos)
     images = []
-    for key, c in terms.items():
-        ck = (alpha_lat, s, key)
+    for (lat, modes), c in terms.items():
+        # (alpha | gamma) on lattice representatives: exact as sum(alpha) = 0
+        p = sum(a * g for a, g in zip(alpha_lat, lat))
+        ck = (alpha_lat, tuple((s + p, m) for s, m in expos), modes)
         hit = _ROOT_ACTION_CACHE.get(ck)
         if hit is None:
-            hit = _ROOT_ACTION_CACHE[ck] = _root_action_kernel(*ck, cs)
-        images.append((c, hit))
+            hit = _ROOT_ACTION_CACHE[ck] = _block_kernel(*ck, cs)
+        if d % 2 and eps_tilde(alpha_lat, lat) < 0:
+            c = -c
+        new_lat = tuple(d * a + g for a, g in zip(alpha_lat, lat))
+        images.append((new_lat, c, hit))
     # every L is a factorial, so the largest is a common multiple
-    top = max((L for _, (L, _) in images), default=1)
+    top = max((L for _, _, (L, _) in images), default=1)
     out = {}
-    for c, (L, image) in images:
+    for new_lat, c, (L, image) in images:
         c *= top // L
-        for k, x in image.items():
-            out[k] = out.get(k, 0) + c * x
+        for m, x in image.items():
+            out[new_lat, m] = out.get((new_lat, m), 0) + c * x
     out = {k: x for k, x in out.items() if x}
-    den *= top * div
+    den *= top * prod(factorial(m) for _, m in expos)
     g = gcd(den, *out.values())
     return den // g, {k: x // g for k, x in out.items()}
 
 
 def _end_run(cs, vec):
-    """Rewrites the placeholder modes (0, n) = alpha(-n) of a finished run
-    in simple-root modes, cs the pairs of alpha; a run of a simple root (or
-    none) has none."""
+    """Rewrites the placeholder modes (0, n) = alpha(-n) of a finished block
+    in simple-root modes, cs the pairs of alpha; a block of a simple root
+    has none."""
     if len(cs) < 2:
         return vec
     den, terms = vec
@@ -354,26 +490,29 @@ def _to_engine(v):
 
 def apply_word(factors, v):
     """prod (x_alpha (x) t^s)^m / m! on a vector, factors (alpha, s, m) given
-    in the order they act, the j-th of the m actions dividing by j: one
-    conversion in and out of the engine, whose output keys are rebuilt as
-    validated FockKeys."""
+    in the order they act: one conversion in and out of the engine, whose
+    output keys are rebuilt as validated FockKeys.  Each run of consecutive
+    factors with one root is applied as one block."""
     vec = _to_engine(v)
-    run = ()  # the pairs of the current run's root
-    for alpha, s, mult in factors:
+    for alpha, run in groupby(factors, key=itemgetter(0)):
         if not is_root(alpha):
             raise ValueError("alpha is not a root")
+        expos = tuple((s, m) for _, s, m in run)
         alpha_lat = alpha.lattice_rep()
         cs = _alpha_simple_coeffs(alpha_lat)
-        if cs != run:
-            vec = _end_run(run, vec)
-            run = cs
-        direction = cs if len(cs) == 1 else ((0, 1),)  # the run placeholder
-        for j in range(1, mult + 1):
-            vec = _act_root(alpha_lat, s, vec, direction, j)
-    den, terms = _end_run(run, vec)
+        direction = cs if len(cs) == 1 else ((0, 1),)  # the placeholder
+        vec = _end_run(cs, _apply_block(alpha_lat, expos, vec, direction))
+    den, terms = vec
     return FockVector(v.r, v.sector, {
         FockKey(FiniteWeight(v.r, lat), modes): Fraction(c, den)
         for (lat, modes), c in terms.items()})
+
+
+def clear_caches():
+    """Empties the engine's memos, so that a CLI run starts cold."""
+    _ROOT_ACTION_CACHE.clear()
+    for memo in (_creation_terms, _alternant_coeffs, _schur_terms):
+        memo.cache_clear()
 
 
 def act_root_vector(alpha, s, v):

@@ -143,14 +143,14 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                     reason="reads the process size from /proc")
 def test_out_of_memory_exits_3():
-    # the run needs about 350 MiB; the child, and only it, may grow by 48 MiB
+    # the run needs about 95 MiB; the child, and only it, may grow by 48 MiB
     script = """if 1:
         import resource, sys
         from popfock import cli
         size = int(open("/proc/self/statm").read().split()[0])
         limit = size * resource.getpagesize() + (48 << 20)
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        sys.exit(cli.main(["verify", "basis", "--r", "2", "--depth", "3"]))"""
+        sys.exit(cli.main(["verify", "basis", "--r", "1", "--depth", "4"]))"""
     child = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV,
                            capture_output=True, text=True)
     assert child.returncode == 3 and json.loads(child.stdout) == {
@@ -343,19 +343,28 @@ def test_readme_examples_run():
 
 def test_run_starts_with_cold_caches():
     small = ["verify", "basis", "--r", "1", "--depth", "1"]
+    memos = (fock._creation_terms, fock._alternant_coeffs, fock._schur_terms)
+
+    def sizes():
+        return (len(fock._ROOT_ACTION_CACHE),
+                *(memo.cache_info().currsize for memo in memos))
+
     first = run(parse_config(small))
-    sizes = (len(fock._ROOT_ACTION_CACHE),
-             fock._creation_terms.cache_info().currsize)
-    assert sizes[0] > 0
+    cold = sizes()
+    assert all(cold)
     assert run(parse_config(small)) == first
     run(parse_config(["verify", "basis", "--r", "1", "--depth", "2"]))
     assert run(parse_config(small)) == first
-    assert (len(fock._ROOT_ACTION_CACHE),
-            fock._creation_terms.cache_info().currsize) == sizes
-    # the cache holds the engine's integer images of tuple keys
-    for (_, _, key), (den, image) in fock._ROOT_ACTION_CACHE.items():
-        assert type(key[0]) is tuple and type(den) is int
-        assert all(type(c) is int for c in image.values())
+    assert sizes() == cold
+    # the cache holds one integer image per translation class
+    # (root, ((s + (root|gamma), m), ...), modes)
+    for (alpha_lat, expos, modes), (den, image) in (
+            fock._ROOT_ACTION_CACHE.items()):
+        assert type(alpha_lat) is tuple and type(modes) is tuple
+        assert all(type(s) is int and type(m) is int for s, m in expos)
+        assert type(den) is int
+        assert all(type(m) is tuple and type(c) is int
+                   for m, c in image.items())
 
 
 def _first_slow_bracket_failure(r, i, emax):

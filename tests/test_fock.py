@@ -3,10 +3,12 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from popfock import fock
 from popfock.fock import (FockKey, FockVector, act_heisenberg,
                           act_root_vector, apply_word, enumerate_keys,
                           graded_dim, lattice_points, vacuum, weight_of,
@@ -184,10 +186,10 @@ def run_cases(draw):
 @settings(max_examples=50, deadline=None)
 @given(run_cases())
 def test_runs_match_fraction_oracle(case):
-    # a run creates alpha(-n) in a placeholder label that its annihilators
-    # pair with (alpha|alpha) = 2; the run's end rewrites it in simple roots.
-    # Every prefix is compared, as most full words leave the energy range,
-    # up to 100 terms, past which the oracle takes seconds per factor.
+    # a run is one block, which creates alpha(-n) in a placeholder label and
+    # rewrites it in simple roots at its end.  Every prefix is compared, as
+    # most full words leave the energy range, up to 100 terms, past which
+    # the oracle takes seconds per factor.
     factors, v = case
     w = v
     for j, factor in enumerate(factors, 1):
@@ -196,6 +198,73 @@ def test_runs_match_fraction_oracle(case):
             break
         w = oracles.apply_word(OperatorWord([factor]), w)
         assert got == w
+
+
+@lru_cache(maxsize=None)
+def keys_pairing_with(alpha, i):
+    """The keys of energy <= 3 with a mode (b, n) that alpha pairs with."""
+    r = alpha.r
+    return [key for key in enumerate_keys(r, i, 3)
+            if any(bilinear(alpha, simple_root(r, b)) for b, _ in key.modes)]
+
+
+@st.composite
+def block_cases(draw):
+    """One root, simple or not, of either sign, with one to three distinct
+    exponents whose multiplicities sum to d <= 6, and a key of energy <= 3
+    with modes that pair with the root, at rank 1..3.  Each exponent is
+    drawn as s + (alpha|gamma) in -d-2..-d+1, which puts the image's mode
+    sum between d below and 2d above the key's, so that most images are
+    nonzero and small."""
+    r = draw(st.integers(1, 3))
+    alpha = draw(st.sampled_from(all_roots(r)))
+    key = draw(st.sampled_from(keys_pairing_with(alpha, draw(
+        st.integers(0, r)))))
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(3, d)))
+    cuts = sorted(draw(st.permutations(range(1, d)))[:k - 1])
+    mults = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+    expos = draw(st.lists(st.integers(-d - 2, -d + 1), min_size=k,
+                          max_size=k, unique=True))
+    shift = int(bilinear(alpha, key.gamma))
+    return ([(alpha, s - shift, m) for s, m in zip(expos, mults)], unit(key))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_cases())
+def test_blocks_match_fraction_oracle(case):
+    # apply_word applies the whole block in one step; the oracle applies it
+    # one root action at a time, up to 100 terms, as the terms that cancel
+    # inside a block can make the oracle's vectors larger than the image.
+    # Compared on every prefix of whole factors.
+    factors, v = case
+    w = v
+    for j, (alpha, s, m) in enumerate(factors, 1):
+        for _ in range(m):
+            w = oracles.act_root_vector(alpha, s, w)
+            if len(w.terms) > 100:
+                return
+        w = w * Fraction(1, factorial(m))
+        assert apply_word(factors[:j], v) == w
+
+
+def test_one_factor_block_matches_kernel():
+    # the bracket sweep applies single factors by _root_action_kernel, and
+    # words apply blocks: on one factor the two must agree on every key
+    for r in (1, 2, 3):
+        for i in range(r + 1):
+            keys = [(key.gamma.lattice_rep(), key.modes)
+                    for key in enumerate_keys(r, i, 3)]
+            for alpha in all_roots(r):
+                alpha_lat = alpha.lattice_rep()
+                cs = fock._alpha_simple_coeffs(alpha_lat)
+                cs = cs if len(cs) == 1 else ((0, 1),)  # as apply_word does
+                for key, s in itertools.product(keys, range(-3, 4)):
+                    L, want = fock._root_action_kernel(alpha_lat, s, key, cs)
+                    den, got = fock._apply_block(alpha_lat, ((s, 1),),
+                                                 (1, {key: 1}), cs)
+                    assert got.keys() == want.keys()
+                    assert all(got[k] * L == want[k] * den for k in got)
 
 
 def test_highest_weight_relations():
