@@ -339,10 +339,11 @@ def _bracket_failures(r, emax, keys):
     [x_al (x) t^s1, x_be (x) t^s2] = bracket_expected on the unit vectors of
     the distinct keys `keys` (one sector, energy <= emax), in sweep order.
 
-    Each root action is computed once, by the uncached engine kernel, into
-    integer tables: table[alpha, s][k] is the image of the key with index k
-    as {key index: L * coefficient}, L = (emax + 4)!.  A kernel image is over
-    c! for its largest creation degree c, and no image the sweep needs has
+    Each root action is a one-factor block of the engine, computed once per
+    translation class into a class table that lives while the integer tables
+    are built: table[alpha, s][k] is the image of the key with index k as
+    {key index: L * coefficient}, L = (emax + 4)!.  A block image is over c!
+    for its largest creation degree c, and no image the sweep needs has
     energy above emax + 4.  For |s| <= 2 the tables cover the keys of `keys`
     and every key their images reach; for 2 < |s| <= 4 (the right-hand side)
     only `keys`.  An instance holds iff L^2 (x_al x_be - x_be x_al) k equals
@@ -351,12 +352,13 @@ def _bracket_failures(r, emax, keys):
     scale = factorial(emax + 4)
     tkeys = [(key.gamma.lattice_rep(), key.modes) for key in keys]
     index = _KeyIndex((key, n) for n, key in enumerate(tkeys))
+    classes = {}
 
     def images(alpha, s, ks):
-        alpha_lat = alpha.lattice_rep()
-        cs = fock._alpha_simple_coeffs(alpha_lat)  # the keys' own labels
-        return [_scaled(fock._root_action_kernel(alpha_lat, s, key, cs),
-                        scale, index) for key in ks]
+        return [_scaled((L, {(lat, m): sign * c for m, c in image.items()}),
+                        scale, index)
+                for lat, sign, (L, image) in fock._block_images(
+                    alpha.lattice_rep(), ((s, 1),), ks, classes)]
 
     table = {(alpha, s): images(alpha, s, tkeys)
              for s in _BRACKET_MODES for alpha in roots}
@@ -366,6 +368,7 @@ def _bracket_failures(r, emax, keys):
     for n in (-4, -3, 3, 4):
         for alpha in roots:
             table[alpha, n] = images(alpha, n, tkeys)
+    del classes
     square = scale * scale
     heis = {(a, n): [_scaled(fock._to_engine(fock.act_heisenberg(
         a, n, fock.FockVector(r, key.sector, {key: 1}))), square, index)

@@ -9,12 +9,11 @@ is a finite exact computation over the rationals.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby
 from math import comb, factorial, gcd, isqrt, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .partitions import colored_partitions
 from .rootdata import (AffineWeight, FiniteWeight, bilinear, fundamental,
@@ -233,9 +232,11 @@ def _times_alpha_mode(cs, n, terms):
 # lattice tuple being the representative whose entries sum to the sector, and
 # a vector is (den, {key: int}), the coefficients being the ints over den.
 #
-# apply_word applies each run of consecutive factors with one root beta,
-# prod_i (x_beta (x) t^{s_i})^{m_i} / m_i!, as one block of d = sum m_i
-# factors.  By the Frenkel-Kac operator product, on e^gamma (x) u
+# Every root action is a block: a run of consecutive factors with one root
+# beta, prod_i (x_beta (x) t^{s_i})^{m_i} / m_i!, of d = sum m_i factors.
+# apply_word applies each run of a word as one block, and the bracket sweep
+# applies single factors as blocks with d = 1.  By the Frenkel-Kac operator
+# product, on e^gamma (x) u
 #   x_beta(z_1) ... x_beta(z_d) = eps(beta, beta)^{d(d-1)/2}
 #       eps(beta, gamma)^d prod_{i<j} (z_i - z_j)^2 prod_k z_k^{(beta|gamma)}
 #       E^-(z_1) ... E^-(z_d) E^+(z_1) ... E^+(z_d) e^{gamma + d beta} (x) u,
@@ -245,18 +246,15 @@ def _times_alpha_mode(cs, n, terms):
 # creators are sum_lambda s_lambda(z) s_lambda[beta(-n)], and
 # prod_{i<j} (z_i - z_j)^2 s_lambda(z) = a_delta a_{lambda+delta}, a product
 # of alternants.  The block's coefficient of prod_k z_k^{-s_k-1} is thus a sum
-# of Schur polynomials s_lambda[beta(-n)] (_schur_terms) with the alternant
-# coefficients of _alternant_coeffs.  The image depends on gamma only through
-# (beta|gamma), which shifts every s_k, the sign eps(beta, gamma)^d and the
-# shift gamma -> gamma + d beta: so the cache holds one image per translation
-# class (beta, ((s_i + (beta|gamma), m_i), ...), u).  tests/oracles.py applies
-# the same words factor by factor, with Fraction coefficients.
-#
-# A block of a root that is not simple creates its modes beta(-n) in the
-# placeholder label (0, n), which apply_word rewrites in simple-root modes
-# when the block ends: summing the images first keeps fewer terms.  A simple
-# root creates its own mode.  The bracket sweep applies single factors by
-# _root_action_kernel, expanded in simple-root modes at once.
+# of Schur polynomials s_lambda[beta(-n)] (_schur_terms), each mode beta(-n)
+# created as sum_b c_b alpha_b(-n) in the simple-root labels of beta, with the
+# alternant coefficients of _alternant_coeffs.  The image depends on gamma
+# only through (beta|gamma), which shifts every s_k, the sign eps(beta, gamma)^d
+# and the shift gamma -> gamma + d beta: _block_images computes one image per
+# translation class (beta, ((s_i + (beta|gamma), m_i), ...), u) into the table
+# it is given, _ROOT_ACTION_CACHE for words and a table of the sweep's own for
+# the bracket sweep.  tests/oracles.py applies the same words factor by
+# factor, with Fraction coefficients.
 
 
 @lru_cache(maxsize=None)
@@ -279,46 +277,22 @@ def _creation_terms(cs, degree):
 
 def _annihilation_terms(alpha_lat, modes):
     """Expansion of the annihilation exponential against sorted modes: list
-    of (kept modes tuple, int coefficient, annihilated degree)."""
-    results = [((), 1, 0)]
-    for (b, n), mult in sorted(Counter(modes).items()):
+    of (kept modes tuple, int coefficient, J), J the sorted tuple of the
+    annihilated degrees."""
+    results = [((), 1, ())]
+    for (b, n), run in groupby(modes):
+        mult = len(list(run))
         c = alpha_lat[b] - alpha_lat[b - 1]  # -(alpha | alpha_b)
         new = []
-        for kept, coeff, deg in results:
+        for kept, coeff, J in results:
             for j in range(mult + 1 if c else 1):
                 new.append((kept + ((b, n),) * (mult - j),
-                            coeff * comb(mult, j) * c ** j, deg + j * n))
+                            coeff * comb(mult, j) * c ** j, J + (n,) * j))
         results = new
-    return results
+    return [(kept, coeff, tuple(sorted(J))) for kept, coeff, J in results]
 
 
 _ROOT_ACTION_CACHE = {}
-
-
-def _root_action_kernel(alpha_lat, s, key, cs):
-    """x_alpha (x) t^s on one engine key, uncached, creating its modes in the
-    label pairs cs: (L, {key: int}), the image being the ints over L = c!,
-    c the largest creation degree used."""
-    lat, modes = key
-    # (alpha | gamma) on lattice representatives: exact because sum(alpha) = 0
-    base = -s - 1 - sum(a * g for a, g in zip(alpha_lat, lat))
-    sign0 = eps_tilde(alpha_lat, lat)
-    if alpha_lat.index(1) > alpha_lat.index(-1):  # negative root
-        sign0 = -sign0
-    terms = [(kept, acoef, base + adeg)
-             for kept, acoef, adeg in _annihilation_terms(alpha_lat, modes)
-             if base + adeg >= 0]
-    if not terms:
-        return 1, {}
-    L = factorial(max(cdeg for _, _, cdeg in terms))
-    by_modes = {}
-    for kept, acoef, cdeg in terms:
-        acoef *= sign0 * (L // factorial(cdeg))
-        for created, ccoef in _creation_terms(cs, cdeg).items():
-            nm = tuple(sorted(kept + created))
-            by_modes[nm] = by_modes.get(nm, 0) + acoef * ccoef
-    new_lat = tuple(a + g for a, g in zip(alpha_lat, lat))
-    return L, {(new_lat, m): c for m, c in by_modes.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -383,12 +357,13 @@ def _schur_terms(cs, lam):
     return {m: x for m, x in poly.items() if x}
 
 
-def _block_kernel(alpha_lat, expos, modes, cs):
+def _block_kernel(alpha_lat, expos, modes):
     """prod_i m_i! times the block prod_i (x_alpha (x) t^{s_i})^{m_i} / m_i!,
     expos the pairs (s_i, m_i), on a key (gamma, modes) with
-    (alpha | gamma) = 0, creating its modes in the label pairs cs, and with
-    gamma's sign and shift left out: (L, {modes: int}), the image being the
-    ints over L = c!, c the largest creation degree used."""
+    (alpha | gamma) = 0, creating its modes in the simple-root labels of
+    alpha, and with gamma's sign and shift left out: (L, {modes: int}), the
+    image being the ints over L = c!, c the largest creation degree used."""
+    cs = _alpha_simple_coeffs(alpha_lat)
     d = sum(m for _, m in expos)
     t = tuple(sorted(-s - 1 for s, m in expos for _ in range(m)))
     sign = -1 if d * (d - 1) // 2 % 2 else 1  # eps(alpha, alpha) = -1
@@ -397,10 +372,8 @@ def _block_kernel(alpha_lat, expos, modes, cs):
     # |lambda| = sum(t) + sum(J) - d(d-1), as a_delta^2 has degree d(d-1)
     base = sum(t) - d * (d - 1)
     by_J = {}
-    for kept, acoef, adeg in _annihilation_terms(alpha_lat, modes):
-        if base + adeg >= 0:
-            gone = Counter(modes) - Counter(kept)
-            J = tuple(sorted(n for _, n in gone.elements()))
+    for kept, acoef, J in _annihilation_terms(alpha_lat, modes):
+        if base + sum(J) >= 0:
             by_J.setdefault(J, []).append((kept, acoef))
     if not by_J:
         return 1, {}
@@ -431,53 +404,44 @@ def _block_kernel(alpha_lat, expos, modes, cs):
     return L, {m: c for m, c in by_modes.items() if c}
 
 
-def _apply_block(alpha_lat, expos, vec, cs):
+def _block_images(alpha_lat, expos, keys, classes):
     """The block prod_i (x_alpha (x) t^{s_i})^{m_i} / m_i!, expos the pairs
-    (s_i, m_i), on an engine vector, creating in the label pairs cs; cached
-    per translation class, so cs must be a function of alpha."""
-    den, terms = vec
+    (s_i, m_i), on each engine key (gamma, modes) of keys: a list of
+    (gamma + d alpha, sign, (L, {modes: int})), the image being sign times
+    the ints over L prod_i m_i!.  The image of each key's translation class
+    is looked up in, or computed into, the dict classes."""
     d = sum(m for _, m in expos)
-    images = []
-    for (lat, modes), c in terms.items():
+    out = []
+    for lat, modes in keys:
         # (alpha | gamma) on lattice representatives: exact as sum(alpha) = 0
-        p = sum(a * g for a, g in zip(alpha_lat, lat))
-        ck = (alpha_lat, tuple((s + p, m) for s, m in expos), modes)
-        hit = _ROOT_ACTION_CACHE.get(ck)
+        p = sum(map(mul, alpha_lat, lat))
+        ck = (alpha_lat, tuple([(s + p, m) for s, m in expos]), modes)
+        hit = classes.get(ck)
         if hit is None:
-            hit = _ROOT_ACTION_CACHE[ck] = _block_kernel(*ck, cs)
-        if d % 2 and eps_tilde(alpha_lat, lat) < 0:
-            c = -c
-        new_lat = tuple(d * a + g for a, g in zip(alpha_lat, lat))
-        images.append((new_lat, c, hit))
+            hit = classes[ck] = _block_kernel(*ck)
+        sign = -1 if d % 2 and eps_tilde(alpha_lat, lat) < 0 else 1
+        out.append((tuple([d * a + g for a, g in zip(alpha_lat, lat)]), sign,
+                    hit))
+    return out
+
+
+def _apply_block(alpha_lat, expos, vec):
+    """The block prod_i (x_alpha (x) t^{s_i})^{m_i} / m_i!, expos the pairs
+    (s_i, m_i), on an engine vector, with _ROOT_ACTION_CACHE as the table of
+    translation classes."""
+    den, terms = vec
+    images = _block_images(alpha_lat, expos, terms, _ROOT_ACTION_CACHE)
     # every L is a factorial, so the largest is a common multiple
     top = max((L for _, _, (L, _) in images), default=1)
     out = {}
-    for new_lat, c, (L, image) in images:
-        c *= top // L
+    for (new_lat, sign, (L, image)), c in zip(images, terms.values()):
+        c *= sign * (top // L)
         for m, x in image.items():
             out[new_lat, m] = out.get((new_lat, m), 0) + c * x
     out = {k: x for k, x in out.items() if x}
     den *= top * prod(factorial(m) for _, m in expos)
     g = gcd(den, *out.values())
     return den // g, {k: x // g for k, x in out.items()}
-
-
-def _end_run(cs, vec):
-    """Rewrites the placeholder modes (0, n) = alpha(-n) of a finished block
-    in simple-root modes, cs the pairs of alpha; a block of a simple root
-    has none."""
-    if len(cs) < 2:
-        return vec
-    den, terms = vec
-    out = {}
-    for (lat, modes), c in terms.items():
-        k = sum(1 for b, _ in modes if not b)  # label 0 sorts first
-        expanded = {modes[k:]: c}
-        for _, n in modes[:k]:
-            expanded = _times_alpha_mode(cs, n, expanded)
-        for m, x in expanded.items():
-            out[lat, m] = out.get((lat, m), 0) + x
-    return den, {k: x for k, x in out.items() if x}
 
 
 def _to_engine(v):
@@ -498,10 +462,7 @@ def apply_word(factors, v):
         if not is_root(alpha):
             raise ValueError("alpha is not a root")
         expos = tuple((s, m) for _, s, m in run)
-        alpha_lat = alpha.lattice_rep()
-        cs = _alpha_simple_coeffs(alpha_lat)
-        direction = cs if len(cs) == 1 else ((0, 1),)  # the placeholder
-        vec = _end_run(cs, _apply_block(alpha_lat, expos, vec, direction))
+        vec = _apply_block(alpha.lattice_rep(), expos, vec)
     den, terms = vec
     return FockVector(v.r, v.sector, {
         FockKey(FiniteWeight(v.r, lat), modes): Fraction(c, den)

@@ -132,7 +132,9 @@ def enumerate_patterns(lamseq, row_sums=None):
     With row_sums (the sums of rows 1..r+1, top row first), only the
     patterns whose rows have those sums, each wrong row cutting its subtree.
     """
-    lamseq = tuple(int(x) for x in lamseq)
+    lamseq = tuple(lamseq)
+    if any(type(x) is not int for x in lamseq):
+        raise ValueError("bounding sequence entries must be integers")
     if any(lamseq[i] < lamseq[i + 1] for i in range(len(lamseq) - 1)):
         raise ValueError("bounding sequence not weakly decreasing")
     if lamseq[-1] != 0:

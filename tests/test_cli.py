@@ -13,7 +13,8 @@ import pytest
 from popfock import cli, clbasis, fock, gtpattern, pop, translate
 from popfock.cli import (UsageError, _KeyIndex, _bracket_terms, _scaled,
                          bracket_expected, main, parse_config, run)
-from popfock.rootdata import all_roots, simple_root, theta, zero_weight
+from popfock.rootdata import (all_roots, bilinear, simple_root, theta,
+                              zero_weight)
 import oracles
 from test_acceptance import C03_ARGV
 
@@ -126,13 +127,13 @@ def test_unread_flag_is_a_usage_error(command, flag, capsys):
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
-    kernel = fock._root_action_kernel
+    kernel = fock._block_kernel
 
-    def faulty(alpha_lat, s, key, cs):
-        den, image = kernel(alpha_lat, s, key, cs)
+    def faulty(alpha_lat, expos, modes):
+        den, image = kernel(alpha_lat, expos, modes)
         return 11 * den, image  # 11 divides no (emax + 4)! here
 
-    monkeypatch.setattr(fock, "_root_action_kernel", faulty)
+    monkeypatch.setattr(fock, "_block_kernel", faulty)
     assert main(["verify", "brackets", "--r", "1", "--depth", "1"]) == 3
     (line,) = capsys.readouterr().out.splitlines()
     error = json.loads(line)
@@ -352,6 +353,9 @@ def test_run_starts_with_cold_caches():
     first = run(parse_config(small))
     cold = sizes()
     assert all(cold)
+    # the bracket sweep keeps its translation classes in a table of its own
+    run(parse_config(["verify", "brackets", "--r", "1", "--depth", "1"]))
+    assert not fock._ROOT_ACTION_CACHE
     assert run(parse_config(small)) == first
     run(parse_config(["verify", "basis", "--r", "1", "--depth", "2"]))
     assert run(parse_config(small)) == first
@@ -386,18 +390,24 @@ def _first_slow_bracket_failure(r, i, emax):
 
 
 def test_bracket_sweep_fault_matches_slow_path(monkeypatch):
-    kernel = fock._root_action_kernel
+    # the kernel sees the exponent shifted by (alpha|gamma): the fault
+    # flips the sign of every single factor whose shifted exponent is 1
+    kernel = fock._block_kernel
 
-    def faulty(alpha_lat, s, key, cs):
-        den, image = kernel(alpha_lat, s, key, cs)
-        return den, ({k: -c for k, c in image.items()} if s == 1 else image)
+    def faulty(alpha_lat, expos, modes):
+        den, image = kernel(alpha_lat, expos, modes)
+        flip = expos == ((1, 1),)
+        return den, ({m: -c for m, c in image.items()} if flip else image)
 
     def oracle_faulty(alpha, s, v):
-        w = oracles.act_root_vector(alpha, s, v)
-        return -w if s == 1 else w
+        out = fock.zero_vector(v.r, v.sector)
+        for key, c in v.terms.items():
+            w = oracles.act_root_vector(
+                alpha, s, fock.FockVector(v.r, v.sector, {key: c}))
+            out = out + (-w if s + bilinear(alpha, key.gamma) == 1 else w)
+        return out
 
-    monkeypatch.setattr(fock, "_root_action_kernel", faulty)
-    monkeypatch.setattr(fock, "_ROOT_ACTION_CACHE", {})
+    monkeypatch.setattr(fock, "_block_kernel", faulty)
     status, lines = run(parse_config(
         ["verify", "brackets", "--r", "2", "--depth", "1"]))
     reports = [json.loads(line) for line in lines]

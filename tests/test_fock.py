@@ -186,8 +186,8 @@ def run_cases(draw):
 @settings(max_examples=50, deadline=None)
 @given(run_cases())
 def test_runs_match_fraction_oracle(case):
-    # a run is one block, which creates alpha(-n) in a placeholder label and
-    # rewrites it in simple roots at its end.  Every prefix is compared, as
+    # a run is one block, which creates each alpha(-n) of a non-simple root
+    # in its simple-root labels.  Every prefix is compared, as
     # most full words leave the energy range, up to 100 terms, past which
     # the oracle takes seconds per factor.
     factors, v = case
@@ -246,25 +246,6 @@ def test_blocks_match_fraction_oracle(case):
                 return
         w = w * Fraction(1, factorial(m))
         assert apply_word(factors[:j], v) == w
-
-
-def test_one_factor_block_matches_kernel():
-    # the bracket sweep applies single factors by _root_action_kernel, and
-    # words apply blocks: on one factor the two must agree on every key
-    for r in (1, 2, 3):
-        for i in range(r + 1):
-            keys = [(key.gamma.lattice_rep(), key.modes)
-                    for key in enumerate_keys(r, i, 3)]
-            for alpha in all_roots(r):
-                alpha_lat = alpha.lattice_rep()
-                cs = fock._alpha_simple_coeffs(alpha_lat)
-                cs = cs if len(cs) == 1 else ((0, 1),)  # as apply_word does
-                for key, s in itertools.product(keys, range(-3, 4)):
-                    L, want = fock._root_action_kernel(alpha_lat, s, key, cs)
-                    den, got = fock._apply_block(alpha_lat, ((s, 1),),
-                                                 (1, {key: 1}), cs)
-                    assert got.keys() == want.keys()
-                    assert all(got[k] * L == want[k] * den for k in got)
 
 
 def test_highest_weight_relations():

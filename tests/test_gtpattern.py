@@ -1,6 +1,7 @@
 import pytest
 
 from popfock.gtpattern import GTPattern, enumerate_patterns, stats
+from popfock.pop import enumerate_pops
 from popfock.rootdata import zero_weight
 from oracles import shift
 
@@ -89,6 +90,12 @@ def test_enumerate_counts():
     assert len(enumerate_patterns((2, 0))) == 3
     assert len(enumerate_patterns((1, 0, 0))) == 3
     assert len(enumerate_patterns((0, 0, 0))) == 1
+    # a bounding sequence of non-integers is refused, not truncated
+    for seq in ((2.7, 1, 0), (2, 1.0, 0), (2, True, 0)):
+        with pytest.raises(ValueError):
+            enumerate_patterns(seq)
+    with pytest.raises(ValueError):
+        enumerate_pops((2.7, True, 0))
 
 
 def test_enumerate_unique_and_valid():
