@@ -14,7 +14,7 @@ from . import translate
 from .fock import (FockKey, FockVector, apply_word, vacuum, weight_of,
                    zero_vector)
 from .partitions import colored_partitions, fits_rectangle
-from .pop import (depth, depth_total, enumerate_pops, is_stable,
+from .pop import (depth, depth_total, enumerate_pops, is_stable, iter_pops,
                   shift_bijection_check)
 from .rootdata import (AffineWeight, Lambda, bilinear, dominant_seqs,
                        fundamental, pos_root, theta, translate_weight,
@@ -332,17 +332,16 @@ def weyl_span(lam, steps=1):
     r = lam.r
     levels = []
     for j in range(steps + 1):
-        pops = enumerate_pops((lam + j * theta(r)).coords)
-        vecs = [cl_vector(P, 0) for P in pops]
-        levels.append((pops, vecs))
-    dims = [len(v) for _, v in levels]
-    for j, (pops, vecs) in enumerate(levels):
+        levels.append([cl_vector(P, 0)
+                       for P in iter_pops((lam + j * theta(r)).coords)])
+    dims = [len(v) for v in levels]
+    for j, vecs in enumerate(levels):
         if rank_of(vecs) != len(vecs):
             return _report("weyl_span", {"lambda": lam.to_json(), "steps": steps},
                            False, {"reason": "dependent at level %d" % j})
     for j in range(steps):
-        lower = levels[j][1]
-        upper = levels[j + 1][1]
+        lower = levels[j]
+        upper = levels[j + 1]
         by_weight = {}
         for v in upper:
             by_weight.setdefault(weight_of(v), []).append(v)

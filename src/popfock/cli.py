@@ -21,7 +21,7 @@ from math import factorial
 from . import clbasis, fock, gtpattern, pop
 from .clbasis import _report
 from .partitions import colored_partitions, enumerate_rect
-from .pop import POP, enumerate_pops, is_stable, depth_total
+from .pop import POP, enumerate_pops, is_stable, iter_pops, depth_total
 from .rootdata import (FiniteWeight, all_roots, bilinear, dominant_seqs,
                        fundamental, simple_root, theta, weight_from_seq,
                        zero_weight)
@@ -178,7 +178,7 @@ def _lambda_set(cfg):
 def _stable_pops(cfg):
     """Stable POPs of depth at most --depth over the lambda set."""
     for seq in _lambda_set(cfg):
-        for P in enumerate_pops(seq):
+        for P in iter_pops(seq):
             if is_stable(P) and depth_total(P) <= cfg.depth:
                 yield P
 
@@ -195,7 +195,7 @@ def suite_identities(cfg):
         n_checked = 0
         ok = True
         witness = None
-        for P in enumerate_pops(seq):
+        for P in iter_pops(seq):
             n_checked += 1
             good, diag = pop.area_identity(P)
             if not good:
@@ -606,8 +606,8 @@ def run(cfg):
         if cfg.suite == "patterns":
             objs = [P.to_json() for P in gtpattern.enumerate_patterns(cfg.lam)]
         elif cfg.suite == "pops":
-            objs = [P.to_json()
-                    for P in enumerate_pops(cfg.lam, depth_filter=cfg.depth)]
+            objs = (P.to_json()
+                    for P in iter_pops(cfg.lam, depth_filter=cfg.depth))
         else:
             # each multiset as its r part lists, decreasing within a color
             objs = [[[n for b, n in reversed(modes) if b == a]

@@ -125,13 +125,9 @@ def stats(P):
         (bilinear(lam, lam) - bilinear(wt, wt)) / 2)
 
 
-def enumerate_patterns(lamseq, row_sums=None):
-    """All patterns with the given bounding sequence.
-
-    Order: lexicographic in the concatenation of rows from bottom to top.
-    With row_sums (the sums of rows 1..r+1, top row first), only the
-    patterns whose rows have those sums, each wrong row cutting its subtree.
-    """
+def _checked_bounding_seq(lamseq):
+    """lamseq as a tuple, once it is known to be a bounding sequence: integer
+    entries, weakly decreasing, ending in 0."""
     lamseq = tuple(lamseq)
     if any(type(x) is not int for x in lamseq):
         raise ValueError("bounding sequence entries must be integers")
@@ -139,6 +135,17 @@ def enumerate_patterns(lamseq, row_sums=None):
         raise ValueError("bounding sequence not weakly decreasing")
     if lamseq[-1] != 0:
         raise ValueError("bounding sequence must end in 0")
+    return lamseq
+
+
+def enumerate_patterns(lamseq, row_sums=None):
+    """All patterns with the given bounding sequence.
+
+    Order: lexicographic in the concatenation of rows from bottom to top.
+    With row_sums (the sums of rows 1..r+1, top row first), only the
+    patterns whose rows have those sums, each wrong row cutting its subtree.
+    """
+    lamseq = _checked_bounding_seq(lamseq)
 
     def interlacings(lower):
         """All rows of length len(lower)-1 interlacing below `lower`, lex order."""

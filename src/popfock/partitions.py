@@ -8,7 +8,7 @@ from functools import lru_cache
 class Partition:
     """Weakly decreasing tuple of positive integers; zero parts are never stored."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_size")
 
     def __init__(self, parts=()):
         parts = tuple(parts)
@@ -23,6 +23,7 @@ class Partition:
                     raise ValueError("parts not weakly decreasing")
                 last = p
         object.__setattr__(self, "parts", tuple(filter(None, parts)))
+        object.__setattr__(self, "_size", sum(parts))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -37,7 +38,7 @@ class Partition:
         return "Partition(%r)" % (list(self.parts),)
 
     def size(self):
-        return sum(self.parts)
+        return self._size
 
     def part(self, i):
         """1-indexed part with zero padding beyond the last part."""

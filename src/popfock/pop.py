@@ -3,9 +3,7 @@ enumeration, and the area identity."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, product
 
 from . import gtpattern
 from .gtpattern import GTPattern
@@ -22,12 +20,13 @@ class POP:
     cell order of the pattern's tables.
     """
 
-    __slots__ = ("pattern", "overlay", "r")
+    __slots__ = ("pattern", "overlay", "r", "_size")
 
     def __init__(self, pattern, overlay=None):
         overlay = overlay or {}
         st = pattern.tables()
         full = {}
+        size = 0
         for cell, d, dp in zip(st.cells, st.d, st.dprime):
             pi = overlay.get(cell)
             if pi is None:
@@ -37,12 +36,14 @@ class POP:
                     "overlay partition at (i=%d, j=%d) does not fit rectangle (%d, %d)"
                     % (cell + (d, dp)))
             full[cell] = pi
+            size += pi.size()
         unknown = [cell for cell in overlay if cell not in full]
         if unknown:
             raise ValueError("overlay keys out of range: %r" % (sorted(unknown),))
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "overlay", full)
         object.__setattr__(self, "r", pattern.r)
+        object.__setattr__(self, "_size", size)
 
     def __setattr__(self, name, value):
         raise AttributeError("POP is immutable")
@@ -74,7 +75,7 @@ class POP:
         return st.dprime[st.index(i, j)]
 
     def overlay_size(self):
-        return sum(pi.size() for pi in self.overlay.values())
+        return self._size
 
     def to_json(self):
         obj = self.pattern.to_json()
@@ -96,10 +97,13 @@ def depth(P):
     and restricted depths d(P_s), 1 <= s <= r+1; d(P) is depth_total(P)."""
     table = {cell: trap + pi.size() for (cell, pi), trap
              in zip(P.overlay.items(), P.pattern.tables().trap_depth)}
-    restricted = {}
-    for s in range(1, P.r + 2):
-        restricted[s] = sum(v for (i, j), v in table.items() if i >= s)
-    return {"table": table, "restricted": restricted}
+    rest = [0] * (P.r + 2)  # rest[s] = d(P_s), summed from s = r + 1 down
+    for (i, _), v in table.items():
+        rest[i] += v
+    for s in range(P.r, 0, -1):
+        rest[s] += rest[s + 1]
+    return {"table": table,
+            "restricted": dict(zip(range(1, P.r + 2), rest[1:]))}
 
 
 def depth_total(P):
@@ -116,7 +120,7 @@ def area_identity(P):
     lhs = st.trap_area
     mid = st.tri_area + depth_total(P) - P.overlay_size()
     rhs = st.norm_half_diff
-    ok = Fraction(lhs) == Fraction(mid) == rhs
+    ok = lhs == mid == rhs
     return ok, {"trap": lhs, "tri_plus_depth": mid, "norm_half_diff": rhs}
 
 
@@ -164,58 +168,68 @@ def is_stable(P):
     return all(P.d(l, l) >= rest[l] for l in range(1, P.r + 1))
 
 
-def enumerate_pops(lamseq, weight=None, depth_filter=None):
-    """All POPs with the given bounding sequence, optionally filtered.
+def iter_pops(lamseq, weight=None, depth_filter=None):
+    """Yield every POP with the given bounding sequence, optionally filtered.
 
     Filters: exact weight (FiniteWeight) and exact depth.  Deterministic
-    order: pattern enumeration order, then overlay cells by (j, i), each cell's
-    partitions in enumerate_rect order, stably sorted by size under a depth
-    filter.  A weight fixes every row sum of the pattern, so it prunes the
-    pattern enumeration.
+    order: pattern enumeration order, then overlay cells by (j, i), the first
+    cell varying slowest, each cell's partitions in enumerate_rect order,
+    stably sorted by size under a depth filter.  A weight fixes every row sum
+    of the pattern, so it prunes the pattern enumeration; a depth filter
+    prunes each pattern's overlays by the size left to spend.
     """
-    out = []
+    lamseq = gtpattern._checked_bounding_seq(lamseq)
     row_sums = None
     if weight is not None:
         n = len(lamseq)
         t, rem = divmod(sum(lamseq) - sum(weight.coords), n)
         if rem or weight.r != n - 1:
-            return out
+            return
         row_sums = list(accumulate(c + t for c in weight.coords))
-    rects = {}  # (d, d') -> the rectangle's partitions with their sizes
+    rects = {}  # (d, d') -> the rectangle's partitions
     for pattern in gtpattern.enumerate_patterns(lamseq, row_sums):
         st = pattern.tables()
         if weight is not None and st.wt != weight:
             continue
-        base = sum(st.trap_depth)
         if depth_filter is not None:
-            want = depth_filter - base
+            want = depth_filter - sum(st.trap_depth)
             if want < 0 or want > st.trap_area:
                 continue
-        cells = st.cells
         choices = []
         for rect in zip(st.d, st.dprime):
             opts = rects.get(rect)
             if opts is None:
-                opts = [(pi, pi.size()) for pi in enumerate_rect(*rect)]
+                opts = rects[rect] = enumerate_rect(*rect)
                 if depth_filter is not None:
-                    opts.sort(key=itemgetter(1))
-                rects[rect] = opts
+                    opts.sort(key=Partition.size)
             choices.append(opts)
+        cells = st.cells
+        if depth_filter is None:
+            for overlay in product(*choices):
+                yield POP(pattern, dict(zip(cells, overlay)))
+            continue
+        found = []
 
         def rec(idx, remaining, acc):
             if idx == len(cells):
-                if depth_filter is None or remaining == 0:
-                    out.append(POP(pattern, dict(zip(cells, acc))))
+                if remaining == 0:
+                    found.append(POP(pattern, dict(zip(cells, acc))))
                 return
-            for pi, sz in choices[idx]:
-                if depth_filter is not None and sz > remaining:
-                    continue
+            for pi in choices[idx]:
+                if pi.size() > remaining:
+                    break
                 acc.append(pi)
-                rec(idx + 1, remaining - sz if depth_filter is not None else 0, acc)
+                rec(idx + 1, remaining - pi.size(), acc)
                 acc.pop()
 
-        rec(0, depth_filter - base if depth_filter is not None else 0, [])
-    return out
+        rec(0, want, [])
+        yield from found
+
+
+def enumerate_pops(lamseq, weight=None, depth_filter=None):
+    """The POPs of iter_pops(lamseq, weight, depth_filter), as one list, for
+    the callers that count them or read them more than once."""
+    return list(iter_pops(lamseq, weight, depth_filter))
 
 
 def shift_bijection_check(lam, mu, d, k):

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 import json
 import os
@@ -469,6 +471,41 @@ def test_enumerate_pops_output():
     status, lines = run(parse_config(
         ["enumerate", "pops", "--lambda", "2,0", "--depth", "1"]))
     assert len(lines) == 1
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    ("enumerate pops --lambda 3,2,1,0",
+     "05368e32396d4a1ca510483caef540a8828ce99be89c13630a7f6cf4739d6a35"),
+    ("enumerate pops --lambda 4,2,1,0 --depth 2",
+     "5061d044b5f9125214dd94cf991db599c17f9ea96f81bcbbb475a3134c814a66"),
+], ids=["unfiltered", "depth-filtered"])
+def test_enumerate_pops_order_is_pinned(argv, sha256):
+    status, lines = run(parse_config(argv.split()))
+    stream = "".join(line + "\n" for line in lines).encode()
+    assert status == 0 and hashlib.sha256(stream).hexdigest() == sha256
+
+
+def test_identities_holds_one_pop_at_a_time(monkeypatch):
+    # (4,2,1,0) has 384 POPs; by the 300th check the suite must have let go
+    # of the ones it has checked, and made none ahead of the one it checks
+    def live_pops():
+        return sum(isinstance(obj, pop.POP) for obj in gc.get_objects())
+
+    check, calls, held = pop.area_identity, [], []
+
+    def counted(P):
+        calls.append(None)
+        if len(calls) == 300:
+            held.append(live_pops() - before)
+        return check(P)
+
+    monkeypatch.setattr(pop, "area_identity", counted)
+    gc.collect()
+    before = live_pops()
+    status, lines = run(parse_config(
+        ["verify", "identities", "--r", "3", "--lambda", "4,2,1,0"]))
+    assert status == 0 and json.loads(lines[0])["input"]["pops"] == 384
+    assert held and held[0] <= 2
 
 
 def test_enumerate_patterns_and_colored():

@@ -2,7 +2,7 @@ import pytest
 
 from popfock.gtpattern import GTPattern, enumerate_patterns, stats
 from popfock.pop import enumerate_pops
-from popfock.rootdata import zero_weight
+from popfock.rootdata import FiniteWeight, zero_weight
 from oracles import shift
 
 
@@ -96,6 +96,9 @@ def test_enumerate_counts():
             enumerate_patterns(seq)
     with pytest.raises(ValueError):
         enumerate_pops((2.7, True, 0))
+    # also where the weight alone would rule out every pattern
+    with pytest.raises(ValueError):
+        enumerate_pops((2.7, 1, 0), weight=FiniteWeight(2, (1, 0, 0)))
 
 
 def test_enumerate_unique_and_valid():
