@@ -5,7 +5,8 @@ the stability of the normalized pattern-indexed bases."""
 from .rootdata import (AffineWeight, FiniteWeight, Lambda, bilinear,
                        fundamental, pos_root, simple_root, theta,
                        translate_weight, weight_from_seq, zero_weight)
-from .partitions import Partition, colored_partitions, enumerate_rect, fits_rectangle
+from .partitions import (Partition, colored_count, colored_partitions,
+                         enumerate_rect, fits_rectangle)
 from .gtpattern import GTPattern, enumerate_patterns
 from .pop import POP, area_identity, depth, enumerate_pops, is_stable, iter_pops
 from .fock import FockKey, FockVector, act_heisenberg, act_root_vector, vacuum, weight_of

@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import translate
 from .fock import (FockKey, FockVector, apply_word, vacuum, weight_of,
                    zero_vector)
-from .partitions import colored_partitions, fits_rectangle
+from .partitions import colored_count, fits_rectangle
 from .pop import (depth, depth_total, enumerate_pops, is_stable, iter_pops,
                   shift_bijection_check)
 from .rootdata import (AffineWeight, Lambda, bilinear, dominant_seqs,
@@ -381,7 +381,7 @@ def stable_basis(i, gamma, d):
         raise ValueError("gamma must lie in the root lattice")
     r = gamma.r
     mu = fundamental(r, i) + gamma
-    expected = colored_partitions(r, d, count_only=True)
+    expected = colored_count(r, d)
     mu_plus = sorted(mu.coords, reverse=True)
     max_total = sum(mu_plus) - (r + 1) * mu_plus[-1] + d * (r + 1)
     lam = None

@@ -20,7 +20,7 @@ from math import factorial
 
 from . import clbasis, fock, gtpattern, pop
 from .clbasis import _report
-from .partitions import colored_partitions, enumerate_rect
+from .partitions import colored_count, colored_partitions, enumerate_rect
 from .pop import POP, enumerate_pops, is_stable, iter_pops, depth_total
 from .rootdata import (FiniteWeight, all_roots, bilinear, dominant_seqs,
                        fundamental, simple_root, theta, weight_from_seq,
@@ -238,7 +238,7 @@ def suite_dims(cfg):
             gq = FiniteWeight(r, c)
             for m in range(cfg.depth + 1):
                 got = fock.graded_dim(r, i, gq, m)
-                want = colored_partitions(r, m, count_only=True)
+                want = colored_count(r, m)
                 reports.append(_report(
                     "graded_dim", {"r": r, "i": i, "gamma": list(c), "m": m},
                     got == want,
@@ -546,17 +546,17 @@ _COLLAPSE_G = (((((), 1),), 0),
 def _collapse_instances(alpha, depth):
     """Arguments of verify_crucprop for the root alpha, by family.
 
-    general: d <= depth, d' <= 2, each g and mu = (d + d') varpi.
+    general: d <= depth, d' <= 2, |pi| <= d, each g and mu = (d + d') varpi.
     sl2: mu = d' alpha, so d = d', with g = 1, m = 0, d' <= depth + 2 and
     |pi| <= min(d', depth)."""
     general = [(alpha, d, dp, pi, clbasis._mu_with_pairing(alpha, d + dp),
                 g, m)
                for d in range(depth + 1) for dp in range(3)
                for g, m in _COLLAPSE_G
-               for pi in enumerate_rect(d, dp) if pi.size() <= d]
+               for pi in enumerate_rect(d, dp, d)]
     sl2 = [(alpha, dp, dp, pi, dp * alpha, (((), 1),), 0)
            for dp in range(depth + 3)
-           for pi in enumerate_rect(dp, dp) if pi.size() <= min(dp, depth)]
+           for pi in enumerate_rect(dp, dp, min(dp, depth))]
     return {"general": general, "sl2": sl2}
 
 

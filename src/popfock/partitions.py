@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 class Partition:
     """Weakly decreasing tuple of positive integers; zero parts are never stored."""
@@ -55,58 +53,53 @@ def fits_rectangle(pi, d, dprime):
     return len(parts) <= d and (not parts or parts[0] <= dprime)
 
 
-def enumerate_rect(d, dprime):
-    """All partitions fitting the rectangle (d, dprime), each exactly once.
-
-    Deterministic order: lexicographic by part tuples, empty partition first.
-    Count is binomial(d + dprime, d).
-    """
-    out = []
-
-    def rec(prefix, rows_left, cap):
-        out.append(Partition(tuple(prefix)))
-        if rows_left == 0:
-            return
-        for p in range(1, cap + 1):
-            prefix.append(p)
-            rec(prefix, rows_left - 1, p)
-            prefix.pop()
-
-    rec([], d, dprime)
-    return sorted(out, key=lambda q: q.parts)
-
-
-@lru_cache(maxsize=None)
-def _partitions_of(m, cap):
-    """Partitions of m with parts at most cap, as tuples."""
+def _box(m, d, cap):
+    """The partitions of m into at most d parts, each at most cap, as tuples
+    in lexicographic order.  The first part runs from ceil(m/d), below which
+    the other parts could not make up m, to min(m, cap)."""
     if m == 0:
-        return ((),)
-    out = []
-    for first in range(min(m, cap), 0, -1):
-        for rest in _partitions_of(m - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+        yield ()
+    elif d:
+        for first in range(-(-m // d), min(m, cap) + 1):
+            for rest in _box(m - first, d - 1, first):
+                yield (first,) + rest
 
 
-def colored_partitions(r, m, count_only=False):
-    """All r-colored partitions of m, or just their number.
+def enumerate_rect(d, dprime, max_size=None):
+    """The partitions fitting the rectangle (d, dprime), each exactly once.
+
+    Without max_size: all binomial(d + dprime, d) of them, lexicographic by
+    part tuples, empty partition first.  With max_size: those of size at
+    most max_size, by size and then by parts, which is the same list stably
+    sorted by size; no larger partition is built.
+    """
+    top = d * dprime if max_size is None else min(max_size, d * dprime)
+    out = [Partition(parts) for size in range(top + 1)
+           for parts in _box(size, d, dprime)]
+    if max_size is None:
+        out.sort(key=lambda q: q.parts)
+    return out
+
+
+def colored_partitions(r, m):
+    """All r-colored partitions of m; colored_count(r, m) is their number.
 
     Each is its creation multiset, a sorted tuple of (color, part) pairs as
     in FockKey.modes.  Color 1 takes each size 0..m in turn, its partitions
     in decreasing lexicographic order, and the later colors share the rest
-    alike.  The count satisfies prod_{n>=1} (1-q^n)^{-r}.
+    alike.
     """
     if r < 1 or m < 0:
         raise ValueError("need r >= 1 and m >= 0")
-    if count_only:
-        return _colored_count(r, m)
+    # the partitions of each size, in decreasing lexicographic order
+    table = [tuple(_box(s, s, s))[::-1] for s in range(m + 1)]
 
     def rec(a, left):
         if a > r:
             yield ()
             return
         for size in (left,) if a == r else range(left + 1):
-            for parts in _partitions_of(size, size):
+            for parts in table[size]:
                 head = tuple((a, n) for n in reversed(parts))
                 for rest in rec(a + 1, left - size):
                     yield head + rest
@@ -114,11 +107,11 @@ def colored_partitions(r, m, count_only=False):
     return list(rec(1, m))
 
 
-@lru_cache(maxsize=None)
-def _colored_count(r, m):
-    if m == 0:
-        return 1
-    # coefficient extraction from prod (1-q^n)^{-r} by iterated convolution
+def colored_count(r, m):
+    """The number of r-colored partitions of m: the coefficient of q^m in
+    prod_{n>=1} (1-q^n)^{-r}, by iterated convolution."""
+    if r < 1 or m < 0:
+        raise ValueError("need r >= 1 and m >= 0")
     series = [1] + [0] * m
     for n in range(1, m + 1):
         for _ in range(r):

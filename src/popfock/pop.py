@@ -7,8 +7,7 @@ from itertools import accumulate, product
 
 from . import gtpattern
 from .gtpattern import GTPattern
-from .partitions import (Partition, colored_partitions, enumerate_rect,
-                         fits_rectangle)
+from .partitions import Partition, colored_count, enumerate_rect, fits_rectangle
 from .rootdata import theta
 
 
@@ -173,10 +172,11 @@ def iter_pops(lamseq, weight=None, depth_filter=None):
 
     Filters: exact weight (FiniteWeight) and exact depth.  Deterministic
     order: pattern enumeration order, then overlay cells by (j, i), the first
-    cell varying slowest, each cell's partitions in enumerate_rect order,
-    stably sorted by size under a depth filter.  A weight fixes every row sum
-    of the pattern, so it prunes the pattern enumeration; a depth filter
-    prunes each pattern's overlays by the size left to spend.
+    cell varying slowest, each cell's partitions in enumerate_rect order.  A
+    weight fixes every row sum of the pattern, so it prunes the pattern
+    enumeration.  A depth filter lists each rectangle's partitions only up to
+    that size, by size first, and prunes each pattern's overlays by the size
+    left to spend.
     """
     lamseq = gtpattern._checked_bounding_seq(lamseq)
     row_sums = None
@@ -199,9 +199,7 @@ def iter_pops(lamseq, weight=None, depth_filter=None):
         for rect in zip(st.d, st.dprime):
             opts = rects.get(rect)
             if opts is None:
-                opts = rects[rect] = enumerate_rect(*rect)
-                if depth_filter is not None:
-                    opts.sort(key=Partition.size)
+                opts = rects[rect] = enumerate_rect(*rect, depth_filter)
             choices.append(opts)
         cells = st.cells
         if depth_filter is None:
@@ -241,7 +239,7 @@ def shift_bijection_check(lam, mu, d, k):
     r = lam.r
     pops = enumerate_pops((lam + k * theta(r)).coords, weight=mu,
                           depth_filter=d)
-    expected = colored_partitions(r, d, count_only=True)
+    expected = colored_count(r, d)
     witness = None
     if len(pops) != expected:
         witness = {"reason": "cardinality", "got": len(pops),

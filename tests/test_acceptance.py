@@ -15,7 +15,7 @@ import time
 from math import comb
 
 from popfock.cli import parse_config, run
-from popfock.partitions import colored_partitions
+from popfock.partitions import colored_count
 
 C03_ARGV = ["verify", "brackets", "--r", "2", "--depth", "3"]
 
@@ -171,8 +171,7 @@ def test_c10_stable_bases():
     for r in (1, 2):
         for rep in _verify(["verify", "basis", "--r", str(r)]):
             d = rep["input"]["d"]
-            assert rep["witness"]["size"] == colored_partitions(
-                r, d, count_only=True)
+            assert rep["witness"]["size"] == colored_count(r, d)
             total += 1
     assert total == 30
     _announce(10, "stable bases (%d)" % total, t0)

@@ -146,14 +146,15 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                     reason="reads the process size from /proc")
 def test_out_of_memory_exits_3():
-    # the run needs about 95 MiB; the child, and only it, may grow by 48 MiB
+    # the run holds its whole colored-partition list, about 108 MiB; the
+    # child, and only it, may grow by 48 MiB
     script = """if 1:
         import resource, sys
         from popfock import cli
         size = int(open("/proc/self/statm").read().split()[0])
         limit = size * resource.getpagesize() + (48 << 20)
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        sys.exit(cli.main(["verify", "basis", "--r", "1", "--depth", "4"]))"""
+        sys.exit(cli.main(["enumerate", "colored", "--r", "4", "--m", "14"]))"""
     child = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV,
                            capture_output=True, text=True)
     assert child.returncode == 3 and json.loads(child.stdout) == {
@@ -478,7 +479,14 @@ def test_enumerate_pops_output():
      "05368e32396d4a1ca510483caef540a8828ce99be89c13630a7f6cf4739d6a35"),
     ("enumerate pops --lambda 4,2,1,0 --depth 2",
      "5061d044b5f9125214dd94cf991db599c17f9ea96f81bcbbb475a3134c814a66"),
-], ids=["unfiltered", "depth-filtered"])
+    ("enumerate colored --r 3 --m 5",
+     "06d3926fd68fc4664700ca2eed51c284fad04d67c8375c2c847663ac7d44f7ae"),
+    ("verify basis --r 1 --depth 5",
+     "0208a39c9cd97a0bfceed09808028b4a881a462529e398b53c994d1cb0cb7507"),
+    ("verify basis --r 2 --depth 4",
+     "bacd34305aac9e6d4ed662fa8f949fcfad432432339dff4cd954880c6c26e72a"),
+], ids=["unfiltered", "depth-filtered", "colored", "basis-r1-depth5",
+        "basis-r2-depth4"])
 def test_enumerate_pops_order_is_pinned(argv, sha256):
     status, lines = run(parse_config(argv.split()))
     stream = "".join(line + "\n" for line in lines).encode()

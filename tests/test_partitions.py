@@ -1,9 +1,10 @@
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
-from popfock.partitions import (Partition, colored_partitions, enumerate_rect,
-                                fits_rectangle)
+from popfock.partitions import (Partition, colored_count, colored_partitions,
+                                enumerate_rect, fits_rectangle)
 
 
 def series_coefficient(r, m):
@@ -51,24 +52,32 @@ def test_enumerate_rect_examples():
 
 
 def test_enumerate_rect_counts():
+    # oracle: each weakly increasing d-tuple over 0..d', reversed, is one box
+    # partition padded with zeros
     for d in range(7):
         for dp in range(7):
+            brute = [Partition(c[::-1]) for c in
+                     combinations_with_replacement(range(dp + 1), d)]
             got = enumerate_rect(d, dp)
             assert len(got) == comb(d + dp, d)
-            assert len(set(got)) == len(got)
+            assert got == sorted(brute, key=lambda q: q.parts)
+            for m in range(d * dp + 2):
+                assert enumerate_rect(d, dp, m) == sorted(
+                    (q for q in brute if q.size() <= m),
+                    key=lambda q: (q.size(), q.parts))
 
 
 def test_colored_partitions_examples():
-    assert colored_partitions(1, 3, count_only=True) == 3
-    assert colored_partitions(2, 2, count_only=True) == 5
-    assert colored_partitions(3, 0, count_only=True) == 1
+    assert colored_count(1, 3) == 3
+    assert colored_count(2, 2) == 5
+    assert colored_count(3, 0) == 1
     assert len(colored_partitions(2, 2)) == 5
 
 
 def test_colored_partitions_match_series():
     for r in (1, 2, 3):
         for m in range(9):
-            count = colored_partitions(r, m, count_only=True)
+            count = colored_count(r, m)
             assert count == series_coefficient(r, m)
             enum = colored_partitions(r, m)
             assert len(enum) == count

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from popfock.gtpattern import GTPattern, enumerate_patterns
-from popfock.partitions import Partition, colored_partitions, enumerate_rect
+from popfock.partitions import Partition, colored_count, enumerate_rect
 from popfock.pop import (POP, depth, depth_total, enumerate_pops,
                          invariant_set, is_stable, shift_bijection_check)
 from popfock.rootdata import FiniteWeight, fundamental, zero_weight
@@ -158,7 +158,7 @@ def test_shift_bijection_examples():
     assert rep["count"] == 5 == rep["expected"] == len(pops)
     assert pops == enumerate_pops((4, 2, 0), weight=zero_weight(2),
                                   depth_filter=2)
-    assert rep["expected"] == colored_partitions(2, 2, count_only=True)
+    assert rep["expected"] == colored_count(2, 2)
     with pytest.raises(ValueError):
         shift_bijection_check(zero_weight(1), zero_weight(1), 2, 1)
 
