@@ -185,8 +185,31 @@ def _stable_pops(cfg):
 
 # --------------------------- suites ---------------------------------------
 
+def _pattern_recursion_failures(pattern, r):
+    """The s at which the pattern half of I(P_s) differs from that of
+    I(P_{s+1}) joined with I^j_s for s <= j <= r; every POP on the pattern
+    shares it."""
+    inv = {s: pop.pattern_invariant_set(pattern, s) for s in range(1, r + 2)}
+    bad = set()
+    for s in range(1, r + 1):
+        merged = {part: dict(v) for part, v in inv[s + 1].items()}
+        for j in range(s, r + 1):
+            sl = pop.pattern_invariant_slice(pattern, s, j)
+            for part in ("d", "dprime"):
+                merged[part].update(sl[part])
+        if inv[s] != merged:
+            bad.add(s)
+    return bad
+
+
 def suite_identities(cfg):
-    """Area identity plus the depth and invariant-set recursions, every POP."""
+    """Area identity plus the depth and invariant-set recursions, every POP.
+
+    The pattern half of the invariant-set recursion is checked once per
+    pattern: iter_pops yields each pattern's POPs in one run, so the suite
+    keeps the failing s of the current pattern only.  The overlay half, the
+    depth recursion and the area identity are checked on every POP.
+    """
     reports = []
     r = cfg.r
     seqs = [cfg.lam] if cfg.lam else sorted(
@@ -195,14 +218,18 @@ def suite_identities(cfg):
         n_checked = 0
         ok = True
         witness = None
+        pattern, pattern_bad = None, set()
         for P in iter_pops(seq):
             n_checked += 1
             good, diag = pop.area_identity(P)
             if not good:
                 ok, witness = False, {"pop": P.to_json(), "diag": str(diag)}
                 break
+            if P.pattern is not pattern:
+                pattern = P.pattern
+                pattern_bad = _pattern_recursion_failures(pattern, r)
             dd = pop.depth(P)
-            inv = {s: pop.invariant_set(P, s) for s in range(1, r + 2)}
+            ov = {s: pop.overlay_invariant_set(P, s) for s in range(1, r + 2)}
             for s in range(1, r + 1):
                 lhs = dd["restricted"][s]
                 rhs = dd["restricted"][s + 1] + sum(
@@ -211,12 +238,10 @@ def suite_identities(cfg):
                     ok, witness = False, {"pop": P.to_json(), "s": s,
                                           "reason": "depth recursion"}
                     break
-                merged = {part: dict(v) for part, v in inv[s + 1].items()}
+                merged = dict(ov[s + 1])
                 for j in range(s, r + 1):
-                    sl = pop.invariant_slice(P, s, j)
-                    for part in ("d", "dprime", "overlay"):
-                        merged[part].update(sl[part])
-                if inv[s] != merged:
+                    merged.update(pop.overlay_invariant_slice(P, s, j))
+                if s in pattern_bad or ov[s] != merged:
                     ok, witness = False, {"pop": P.to_json(), "s": s,
                                           "reason": "invariant recursion"}
                     break
@@ -645,10 +670,12 @@ def main(argv=None):
                              % (cfg.out, exc.strerror))
         try:
             status, lines = run(cfg)
-            text = "\n".join(lines)
-            if text:
-                print(text, file=out)
-                out.flush()
+            # one line at a time, not one string of them all; as no report
+            # line is empty, these are the bytes of "\n".join(lines) + "\n",
+            # and none for a run without lines
+            for line in lines:
+                out.write(line + "\n")
+            out.flush()
         finally:
             if out is not sys.stdout:
                 out.close()

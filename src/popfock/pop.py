@@ -123,42 +123,66 @@ def area_identity(P):
     return ok, {"trap": lhs, "tri_plus_depth": mid, "norm_half_diff": rhs}
 
 
+def pattern_invariant_set(pattern, s):
+    """The pattern half of I(P_s), shared by every POP on the pattern:
+    {"d": {(i,j): d_{i,j}: s <= i < j}, "dprime": {(i,j): d'_{i,j}: s < i}}."""
+    if not 1 <= s <= pattern.r + 1:
+        raise ValueError("restriction index out of range")
+    st = pattern.tables()
+    d, dp = {}, {}
+    for cell, dk, dpk in zip(st.cells, st.d, st.dprime):
+        i, j = cell
+        if s <= i < j:
+            d[cell] = dk
+        if i > s:
+            dp[cell] = dpk
+    return {"d": d, "dprime": dp}
+
+
+def overlay_invariant_set(P, s):
+    """The overlay half of I(P_s): the partitions pi(j)^i with s <= i."""
+    if not 1 <= s <= P.r + 1:
+        raise ValueError("restriction index out of range")
+    return {cell: pi for cell, pi in P.overlay.items() if cell[0] >= s}
+
+
 def invariant_set(P, s):
     """I(P_s): shift-invariant differences and the overlay, with labels kept.
 
     Returns {"d": {(i,j): ...}, "dprime": {(i,j): ...}, "overlay": {(i,j): ...}}
     restricted to the index ranges of P_s: d_{i,j} for s <= i < j, d'_{i,j}
-    for s < i <= j and the overlay for s <= i.
+    for s < i <= j and the overlay for s <= i.  The pattern half (d, d') and
+    the overlay half are pattern_invariant_set and overlay_invariant_set.
     """
-    if not 1 <= s <= P.r + 1:
-        raise ValueError("restriction index out of range")
-    st = P.pattern.tables()
-    d, dp, ov = {}, {}, {}
-    for (cell, pi), dk, dpk in zip(P.overlay.items(), st.d, st.dprime):
-        i, j = cell
-        if i >= s:
-            ov[cell] = pi
-            if i < j:
-                d[cell] = dk
-            if i > s:
-                dp[cell] = dpk
-    return {"d": d, "dprime": dp, "overlay": ov}
+    return dict(pattern_invariant_set(P.pattern, s),
+                overlay=overlay_invariant_set(P, s))
+
+
+def pattern_invariant_slice(pattern, s, j):
+    """The pattern half of I^j_s: {d_{s,j}} and {d'_{i,j}: s < i <= j},
+    both empty for j = s."""
+    if not 1 <= s <= j <= pattern.r:
+        raise ValueError("slice indices out of range")
+    if s == j:
+        return {"d": {}, "dprime": {}}
+    st = pattern.tables()
+    at = st.index(s, j)
+    return {"d": {(s, j): st.d[at]},
+            "dprime": {(i, j): st.dprime[at + i - s]
+                       for i in range(s + 1, j + 1)}}
+
+
+def overlay_invariant_slice(P, s, j):
+    """The overlay half of I^j_s: {pi(j)^s}."""
+    if not 1 <= s <= j <= P.r:
+        raise ValueError("slice indices out of range")
+    return {(s, j): P.overlay[(s, j)]}
 
 
 def invariant_slice(P, s, j):
     """I^j_s: {d_{s,j}, pi(j)^s} plus {d'_{i,j}: s < i <= j}; I^s_s = {pi(s)^s}."""
-    r = P.r
-    if not 1 <= s <= j <= r:
-        raise ValueError("slice indices out of range")
-    if s == j:
-        return {"d": {}, "dprime": {}, "overlay": {(s, s): P.overlay[(s, s)]}}
-    st = P.pattern.tables()
-    at = st.index(s, j)
-    return {
-        "d": {(s, j): st.d[at]},
-        "dprime": {(i, j): st.dprime[at + i - s] for i in range(s + 1, j + 1)},
-        "overlay": {(s, j): P.overlay[(s, j)]},
-    }
+    return dict(pattern_invariant_slice(P.pattern, s, j),
+                overlay=overlay_invariant_slice(P, s, j))
 
 
 def is_stable(P):

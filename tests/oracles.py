@@ -1,11 +1,12 @@
 """Slow, independent implementations that the tests compare the library
-against: pattern statistics and the depth table read from the pattern
-entries, brute-force POP enumeration, the column-grouped basis operator,
-direct constructions of Heisenberg polynomials, and the root action on
-FockKeys with Fraction coefficients.  Also the helpers only the tests use:
-the shift of patterns and POPs, restriction, the Chevalley generators, the
-positive-root test, and the keys of one weight space, which are built from
-the library's own colored_partitions and so are not independent of it."""
+against: pattern statistics, the depth table and the invariant sets read
+from the pattern entries, brute-force POP enumeration, the column-grouped
+basis operator, direct constructions of Heisenberg polynomials, and the
+root action on FockKeys with Fraction coefficients.  Also the helpers only
+the tests use: the shift of patterns and POPs, restriction, the Chevalley
+generators, the positive-root test, and the keys of one weight space, which
+are built from the library's own colored_partitions and so are not
+independent of it."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -98,6 +99,29 @@ def slow_cell_depths(P):
     """d^j_i = d_{i,j} * sum_{p=i+1}^{j} d'_{p,j} + |pi(j)^i| for a POP."""
     trap = slow_stats(P.pattern)["trap_depth"]
     return {c: trap[c] + P.overlay[c].size() for c in trap}
+
+
+def slow_invariants(P, s, j=None):
+    """I(P_s), or the slice I^j_s when j is given, cell by cell from the
+    pattern entries: d_{i,j'} for s <= i < j', d'_{i,j'} for s < i and the
+    overlay for s <= i; the slice keeps d_{s,j}, d'_{i,j} for s < i and
+    pi(j)^s, so that I^s_s = {pi(s)^s}."""
+    st = slow_stats(P.pattern)
+    out = {"d": {}, "dprime": {}, "overlay": {}}
+    for (i, jj), pi in P.overlay.items():
+        if j is None:
+            keep_d = keep_ov = s <= i
+            keep_dp = s < i
+        else:
+            keep_d = keep_ov = (i, jj) == (s, j)
+            keep_dp = jj == j and s < i
+        if keep_d and i < jj:
+            out["d"][(i, jj)] = st["d"][(i, jj)]
+        if keep_dp:
+            out["dprime"][(i, jj)] = st["dprime"][(i, jj)]
+        if keep_ov:
+            out["overlay"][(i, jj)] = pi
+    return out
 
 
 def act_chevalley(p, kind, v):

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -228,35 +230,57 @@ def test_bracket_terms_rank2():
 
 
 def test_identities_catches_faults(monkeypatch, capsys):
-    # each fault breaks one check of verify identities at the first POP of
-    # (1, 0): d(P) one too large (area identity), d(P_1) one too large
-    # (depth recursion), a slice I^j_s without its overlay (invariant
-    # recursion)
-    depth, depth_total, inv_slice = (pop.depth, pop.depth_total,
-                                     pop.invariant_slice)
+    # each fault breaks one check of verify identities: at the first POP of
+    # (1, 0), d(P) one too large (area identity), d(P_1) one too large (depth
+    # recursion) and the overlay half of I^j_s emptied (invariant
+    # recursion); the pattern half of I^j_s without its nonzero d' entries,
+    # first seen on the third pattern of (2, 1, 0); and the overlay half
+    # without its nonempty partitions, first seen on the second POP of a
+    # pattern of (2, 0), so that the overlay half is checked on every POP
+    depth, depth_total = pop.depth, pop.depth_total
+    pattern_slice, overlay_slice = (pop.pattern_invariant_slice,
+                                    pop.overlay_invariant_slice)
 
     def restricted_off(P):
         out = depth(P)
         out["restricted"][1] += 1
         return out
 
+    def nonzero_dprime_dropped(pattern, s, j):
+        sl = pattern_slice(pattern, s, j)
+        return dict(sl, dprime={c: v for c, v in sl["dprime"].items() if not v})
+
+    def nonempty_dropped(P, s, j):
+        return {c: pi for c, pi in overlay_slice(P, s, j).items()
+                if not pi.size()}
+
     first = {"rows": [[0], [1, 0]], "overlay": {"1,1": []}}
     diag = "{'trap': 0, 'tri_plus_depth': 1, 'norm_half_diff': Fraction(0, 1)}"
     faults = (
-        ("depth_total", lambda P: depth_total(P) + 1,
+        ("depth_total", lambda P: depth_total(P) + 1, "1,0", 1,
          {"pop": first, "diag": diag}),
-        ("depth", restricted_off,
+        ("depth", restricted_off, "1,0", 1,
          {"pop": first, "s": 1, "reason": "depth recursion"}),
-        ("invariant_slice", lambda P, s, j: dict(inv_slice(P, s, j), overlay={}),
-         {"pop": first, "s": 1, "reason": "invariant recursion"}))
-    for name, fault, witness in faults:
+        ("overlay_invariant_slice", lambda P, s, j: {}, "1,0", 1,
+         {"pop": first, "s": 1, "reason": "invariant recursion"}),
+        ("pattern_invariant_slice", nonzero_dprime_dropped, "2,1,0", 3,
+         {"pop": {"rows": [[1], [1, 1], [2, 1, 0]],
+                  "overlay": {"1,1": [], "1,2": [], "2,2": []}},
+          "s": 1, "reason": "invariant recursion"}),
+        ("overlay_invariant_slice", nonempty_dropped, "2,0", 3,
+         {"pop": {"rows": [[1], [2, 0]], "overlay": {"1,1": [1]}},
+          "s": 1, "reason": "invariant recursion"}))
+    for name, fault, lam, n_checked, witness in faults:
         with monkeypatch.context() as patch:
             patch.setattr(pop, name, fault)
-            assert main(["verify", "identities", "--r", "1",
-                         "--lambda", "1,0"]) == 1
+            assert main(["verify", "identities", "--lambda", lam]) == 1
         (line,) = capsys.readouterr().out.splitlines()
         report = json.loads(line)
         assert report["status"] == "fail" and report["witness"] == witness
+        assert report["input"]["pops"] == n_checked
+    # the overlay fault's witness is not the first POP of its pattern
+    pops = list(pop.iter_pops((2, 0)))
+    assert [P.pattern.rows for P in pops[1:3]] == [((1,), (2, 0))] * 2
 
 
 def test_translate_catches_faults(monkeypatch, capsys):
@@ -435,11 +459,15 @@ def test_bracket_sweep_rejects_a_foreign_denominator():
     ("verify mtp --r 1", clbasis, "_mtp_side", 42),
     ("verify collapse --r 1 --depth 2", clbasis, "_crucprop_collapsed", 56),
     ("verify translate --r 1", cli, "translate_amount", 104),
-    # 8 patterns of (2,1,0) carry its 9 POPs; I(P_s) for s = 1, 2, 3
+    # 8 patterns of (2,1,0) carry its 9 POPs; I(P_s) for s = 1, 2, 3, its
+    # pattern half per pattern and its overlay half per POP
     ("verify identities --r 2 --lambda 2,1,0", gtpattern, "stats", 8),
-    ("verify identities --r 2 --lambda 2,1,0", pop, "invariant_set", 27),
+    ("verify identities --r 2 --lambda 2,1,0", pop, "pattern_invariant_set",
+     24),
+    ("verify identities --r 2 --lambda 2,1,0", pop, "overlay_invariant_set",
+     27),
 ], ids=["weights", "mtp", "collapse", "translate", "identities-patterns",
-        "identities-invariant-sets"])
+        "identities-invariant-sets", "identities-overlay-sets"])
 def test_suite_computes_each_value_once(monkeypatch, argv, module, name, n):
     calls = Counter()
     compute = getattr(module, name)
@@ -491,6 +519,39 @@ def test_enumerate_pops_order_is_pinned(argv, sha256):
     status, lines = run(parse_config(argv.split()))
     stream = "".join(line + "\n" for line in lines).encode()
     assert status == 0 and hashlib.sha256(stream).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    ("verify brackets --r 2 --depth 1 --sector 0",
+     "3ad50db0fcc218ee7f1841e821378bf67d47c78b4c37ce6a95fc0894f14c8f68"),
+    ("verify basis --r 3 --depth 2 --sector 1",
+     "c76b025efdd7237ccde6bc0f29e27ded1abfc413baeae56ad8988444ac712dec"),
+    ("verify identities --r 3 --lambda 6,4,2,0",
+     "b6eac805a38a5acef40cc1f5f13ebc45898f145d2d4d7ae989d263004cd9b2d2"),
+], ids=["brackets", "basis", "identities"])
+def test_benchmark_reports_are_pinned(capsys, argv, sha256):
+    # the stdout of the three workloads of bench/README.md
+    assert main(argv.split()) == 0
+    stream = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stream).hexdigest() == sha256
+
+
+def test_benchmark_layer_names_resolve():
+    # bench/child.py --trace 1 times the public functions defined in each
+    # popfock module (and a few methods); a per-layer name of BENCHMARK.json
+    # that no longer resolves is a metric the traced run cannot measure
+    layers = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    timed = [name.rsplit(".", 1)[0] for name in (m["name"] for m in layers)
+             if name.rsplit(".", 1)[1] in ("calls", "s", "self_s")]
+    assert timed
+    for name in timed:
+        module, *path = name.split(".")
+        mod = importlib.import_module("popfock." + module)
+        owner = getattr(mod, path[0])
+        fn = getattr(owner, path[1]) if len(path) == 2 else owner
+        assert len(path) <= 2 and not any(p.startswith("_") for p in path)
+        assert isinstance(fn, FunctionType), name
+        assert owner.__module__ == mod.__name__, name
 
 
 def test_identities_holds_one_pop_at_a_time(monkeypatch):

@@ -1,13 +1,18 @@
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from popfock.gtpattern import GTPattern, enumerate_patterns
 from popfock.partitions import Partition, colored_count, enumerate_rect
 from popfock.pop import (POP, depth, depth_total, enumerate_pops,
-                         invariant_set, is_stable, shift_bijection_check)
+                         invariant_set, invariant_slice, is_stable,
+                         overlay_invariant_set, overlay_invariant_slice,
+                         pattern_invariant_set, pattern_invariant_slice,
+                         shift_bijection_check)
 from popfock.rootdata import FiniteWeight, fundamental, zero_weight
 from oracles import (enumerate_pops_bruteforce, restrict, shift_pop,
-                     slow_cell_depths, slow_stats)
+                     slow_cell_depths, slow_invariants, slow_stats)
 
 
 def P_(rows, overlay=None):
@@ -101,6 +106,48 @@ def test_pattern_tables_match_slow_path(data):
         assert depth_total(P) == sum(table.values())
 
 
+def _draw_lambda(data):
+    r = data.draw(st.integers(1, 3))
+    top = 3 if r < 3 else 2
+    return tuple(sorted(data.draw(st.lists(st.integers(0, top), min_size=r,
+                                           max_size=r)), reverse=True)) + (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_iter_pops_yields_each_pattern_in_one_run(data):
+    # verify identities checks the pattern half of the invariant-set
+    # recursion once per run of one pattern's POPs
+    lam = _draw_lambda(data)
+    pops = enumerate_pops(lam)
+    mu = data.draw(st.sampled_from([P.weight() for P in pops]))
+    depth_filter = data.draw(st.integers(0, 3))
+    for got in (pops, enumerate_pops(lam, weight=mu),
+                enumerate_pops(lam, depth_filter=depth_filter)):
+        runs = [pattern for pattern, _ in groupby(P.pattern for P in got)]
+        assert len(runs) == len(set(runs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_invariant_halves_match_slow_path(data):
+    lam = _draw_lambda(data)
+    r = len(lam) - 1
+    for P in enumerate_pops(lam):
+        for s in range(1, r + 2):
+            slow = slow_invariants(P, s)
+            assert pattern_invariant_set(P.pattern, s) == {
+                "d": slow["d"], "dprime": slow["dprime"]}
+            assert overlay_invariant_set(P, s) == slow["overlay"]
+            assert invariant_set(P, s) == slow
+            for j in range(s, r + 1):
+                slow = slow_invariants(P, s, j)
+                assert pattern_invariant_slice(P.pattern, s, j) == {
+                    "d": slow["d"], "dprime": slow["dprime"]}
+                assert overlay_invariant_slice(P, s, j) == slow["overlay"]
+                assert invariant_slice(P, s, j) == slow
+
+
 def test_is_stable_examples():
     assert is_stable(P_([[1], [2, 0]], {(1, 1): (1,)}))
     assert not is_stable(P_([[2], [4, 0]], {(1, 1): (2, 2)}))
@@ -130,10 +177,8 @@ def test_enumerators_agree():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_weight_pruned_enumeration_matches_bruteforce(data):
-    r = data.draw(st.integers(1, 3))
-    top = 3 if r < 3 else 2
-    lam = tuple(sorted(data.draw(st.lists(st.integers(0, top), min_size=r,
-                                          max_size=r)), reverse=True)) + (0,)
+    lam = _draw_lambda(data)
+    r = len(lam) - 1
     occurring = [P.weight() for P in enumerate_pops(lam)]
     mu = data.draw(st.one_of(
         st.sampled_from(occurring),
