@@ -172,25 +172,22 @@ def _report(check, inp, ok, witness=None):
     return rep
 
 
-def _expected_weight(r, i, gamma, m):
-    """t_gamma(Lambda_i) - m delta, gamma in the root lattice."""
-    return (translate_weight(gamma, Lambda(r, i))
-            - AffineWeight(zero_weight(r), 0, m))
+def _expected_weight(x, m):
+    """The weight law: t_{x - varpi_i}(Lambda_i) - m delta for the finite
+    weight x, i its class index (so x - varpi_i lies in the root lattice)."""
+    i = x.class_index()
+    return (translate_weight(x - fundamental(x.r, i), Lambda(x.r, i))
+            - AffineWeight(zero_weight(x.r), 0, m))
 
 
-def verify_weight(P, k=0, v=None):
-    """Weight law: wt of v_{P^k} is t_{wt P - varpi}(Lambda_i) - d(P) delta,
-    independent of k (artifact delta normalization).  v is cl_vector(P, k)
-    when the caller has built it already."""
-    i = weight_from_seq(P.bounding_seq()).class_index()
-    if v is None:
-        v = cl_vector(P, k)
+def verify_weight(P, k, v):
+    """Weight law: wt of v = v_{P^k} is t_{wt P - varpi}(Lambda_i) - d(P)
+    delta, independent of k (artifact delta normalization)."""
     if v.is_zero():
         return _report("weight_law", {"pop": P.to_json(), "k": k}, False,
                        "vector vanished")
     got = weight_of(v)
-    gamma_q = P.weight() - fundamental(P.r, i)
-    want = _expected_weight(P.r, i, gamma_q, depth_total(P))
+    want = _expected_weight(P.weight(), depth_total(P))
     ok = got == want
     wit = None if ok else {"got": got.to_json(), "want": want.to_json()}
     return _report("weight_law", {"pop": P.to_json(), "k": k}, ok, wit)
@@ -229,7 +226,7 @@ def verify_mtp(P, s=1):
         if P.d(l, l) < rest[l]:
             raise ValueError("hypothesis d_{l,l} >= d(P_l) fails at l=%d" % l)
     sides = [_mtp_side(P, k, s) for k in (0, 1, 2)]
-    want = AffineWeight(zero_weight(r), 1, -rest[s] if s <= r else 0)
+    want = _expected_weight(zero_weight(r), rest[s])
     return [_mtp_report({"pop": P.to_json(), "k": k, "s": s},
                         sides[k], sides[k + 1], want) for k in (0, 1)]
 
@@ -256,7 +253,7 @@ def _mtp_report(inp, f_k, f_k1, want):
     return _report("mtp", inp, True)
 
 
-def _crucprop_collapsed(alpha, d, dprime, pi, mu, g_modes, m):
+def _crucprop_collapsed(alpha, d, dprime, pi, mu, g_modes):
     """f-vector extracted from x^-_alpha(d,d',pi) T_mu g_m vacuum."""
     r = alpha.r
     g_vacuum = zero_vector(r)
@@ -289,12 +286,10 @@ def verify_crucprop(alpha, d, dprime, pi, mu, g_modes, m, collapsed=None):
         raise ValueError("need (mu|alpha) = d + d'")
     inp = {"alpha": alpha.to_json(), "d": d, "dprime": dprime,
            "pi": pi.to_json(), "mu": mu.to_json(), "m": m}
-    lhs, f_vec = collapsed(alpha, d, dprime, pi, mu, g_modes, m)
+    lhs, f_vec = collapsed(alpha, d, dprime, pi, mu, g_modes)
     if lhs.is_zero():
         return _report("crucprop", inp, False, {"reason": "vector vanished"})
-    target = mu - d * alpha
-    i = target.class_index()
-    want = _expected_weight(r, i, target - fundamental(r, i), pi.size() + m)
+    want = _expected_weight(mu - d * alpha, pi.size() + m)
     got = weight_of(lhs)
     if got != want:
         return _report("crucprop", inp, False,
@@ -311,7 +306,7 @@ def verify_crucprop(alpha, d, dprime, pi, mu, g_modes, m, collapsed=None):
     d_ref = pi.size() + m
     dp_ref = pi.part(1)
     mu_ref = _mu_with_pairing(alpha, d_ref + dp_ref)
-    _, f_ref = collapsed(alpha, d_ref, dp_ref, pi, mu_ref, g_modes, m)
+    _, f_ref = collapsed(alpha, d_ref, dp_ref, pi, mu_ref, g_modes)
     if f_vec != f_ref:
         return _report("crucprop", inp, False,
                        {"reason": "depends on d or d'",
@@ -326,34 +321,27 @@ def _mu_with_pairing(alpha, value):
     return value * fundamental(alpha.r, i)
 
 
-def weyl_span(lam, steps=1):
-    """Chain data: the vectors of each P(lam + j theta) are independent and
-    each span embeds in the next one weight space by weight space."""
-    r = lam.r
-    levels = []
-    for j in range(steps + 1):
-        levels.append([cl_vector(P, 0)
-                       for P in iter_pops((lam + j * theta(r)).coords)])
-    dims = [len(v) for v in levels]
+def weyl_span(lam):
+    """Chain data, one step: the vectors of P(lam) (level 0) and of
+    P(lam + theta) (level 1) are independent, and the span of the first
+    embeds in the second weight space by weight space."""
+    inp = {"lambda": lam.to_json(), "steps": 1}
+    levels = [[cl_vector(P, 0) for P in iter_pops(mu.coords)]
+              for mu in (lam, lam + theta(lam.r))]
     for j, vecs in enumerate(levels):
         if rank_of(vecs) != len(vecs):
-            return _report("weyl_span", {"lambda": lam.to_json(), "steps": steps},
-                           False, {"reason": "dependent at level %d" % j})
-    for j in range(steps):
-        lower = levels[j]
-        upper = levels[j + 1]
-        by_weight = {}
-        for v in upper:
-            by_weight.setdefault(weight_of(v), []).append(v)
-        for v in lower:
-            grp = by_weight.get(weight_of(v), [])
-            if not in_span(grp, v):
-                return _report("weyl_span",
-                               {"lambda": lam.to_json(), "steps": steps}, False,
-                               {"reason": "chain inclusion fails at level %d" % j,
-                                "weight": weight_of(v).to_json()})
-    return _report("weyl_span", {"lambda": lam.to_json(), "steps": steps}, True,
-                   {"dims": dims})
+            return _report("weyl_span", inp, False,
+                           {"reason": "dependent at level %d" % j})
+    lower, upper = levels
+    by_weight = {}
+    for v in upper:
+        by_weight.setdefault(weight_of(v), []).append(v)
+    for v in lower:
+        if not in_span(by_weight.get(weight_of(v), []), v):
+            return _report("weyl_span", inp, False,
+                           {"reason": "chain inclusion fails at level 0",
+                            "weight": weight_of(v).to_json()})
+    return _report("weyl_span", inp, True, {"dims": [len(v) for v in levels]})
 
 
 def _candidate_lambdas(r, i, max_total):
@@ -398,10 +386,10 @@ def stable_basis(i, gamma, d):
 
     def build(k):
         """The vectors of P(lam + k theta)_{mu, d}, or a failed report."""
-        pops, rep = shift_bijection_check(lam, mu, d, k)
-        if rep["status"] != "pass":
+        pops, witness = shift_bijection_check(lam, mu, d, k)
+        if witness:
             return None, _report("stable_basis", inp, False,
-                                 dict(rep["witness"], k=k))
+                                 dict(witness, k=k))
         return [cl_vector(P, 0) for P in pops], None
 
     vecs, bad = build(d)
@@ -410,7 +398,7 @@ def stable_basis(i, gamma, d):
     if rank_of(vecs) != len(vecs):
         return [], _report("stable_basis", inp, False,
                            {"reason": "not independent"})
-    want = _expected_weight(r, i, gamma, d)
+    want = _expected_weight(mu, d)
     for v in vecs:
         if weight_of(v) != want:
             return [], _report("stable_basis", inp, False,

@@ -525,7 +525,8 @@ def suite_weights(cfg):
         reports.append(_report(
             "cl_basis_independent",
             {"r": cfg.r, "lambda": list(seq), "count": len(vecs)}, ok))
-        reps = (clbasis.verify_weight(P, k, v if k == 0 else None)
+        reps = (clbasis.verify_weight(P, k, v if k == 0
+                                      else clbasis.cl_vector(P, 1))
                 for P, v in zip(pops, vecs) for k in (0, 1))
         bad = next((rep for rep in reps if rep["status"] != "pass"), None)
         reports.append(_report("weight_law",
@@ -544,7 +545,7 @@ def suite_mtp(cfg):
 
 
 def suite_chain(cfg):
-    return [clbasis.weyl_span(weight_from_seq(seq), 1)
+    return [clbasis.weyl_span(weight_from_seq(seq))
             for seq in _lambda_set(cfg)]
 
 

@@ -51,10 +51,6 @@ class GTPattern:
     def __repr__(self):
         return "GTPattern(%r)" % (list(map(list, self.rows)),)
 
-    def entry(self, i, j):
-        """lambda^j_i with 1-based indices, 1 <= i <= j <= r+1."""
-        return self.rows[j - 1][i - 1]
-
     def bounding_seq(self):
         return self.rows[-1]
 

@@ -179,12 +179,6 @@ def overlay_invariant_slice(P, s, j):
     return {(s, j): P.overlay[(s, j)]}
 
 
-def invariant_slice(P, s, j):
-    """I^j_s: {d_{s,j}, pi(j)^s} plus {d'_{i,j}: s < i <= j}; I^s_s = {pi(s)^s}."""
-    return dict(pattern_invariant_slice(P.pattern, s, j),
-                overlay=overlay_invariant_slice(P, s, j))
-
-
 def is_stable(P):
     """True iff d_{l,l}(P) >= d(P_l) for every 1 <= l <= r."""
     rest = depth(P)["restricted"]
@@ -257,7 +251,7 @@ def enumerate_pops(lamseq, weight=None, depth_filter=None):
 def shift_bijection_check(lam, mu, d, k):
     """Check |P(lam + k theta)_{mu, d}| = #(r-colored partitions of d) and the
     diagonal bound d_{l,l} >= k on every member; requires k >= d.  Returns the
-    POPs and a report whose witness names the first violation, if any."""
+    POPs and a witness naming the first violation, or None."""
     if k < d:
         raise ValueError("need k >= d")
     r = lam.r
@@ -274,6 +268,4 @@ def shift_bijection_check(lam, mu, d, k):
             witness = {"reason": "diagonal bound", "pop": P.to_json(),
                        "bad_diagonals": bad}
             break
-    return pops, {"check": "shift_bijection", "count": len(pops),
-                  "expected": expected,
-                  "status": "fail" if witness else "pass", "witness": witness}
+    return pops, witness

@@ -31,6 +31,11 @@ def is_positive_root(x):
     return lat.index(1) < lat.index(-1)
 
 
+def entry(P, i, j):
+    """lambda^j_i of the pattern P with 1-based indices, 1 <= i <= j <= r+1."""
+    return P.rows[j - 1][i - 1]
+
+
 def shift(P, k):
     """Shift by k: bounding sequence becomes lambda-seq + k * theta-seq.
 
@@ -43,7 +48,7 @@ def shift(P, k):
     for j in range(1, P.r + 2):
         row = []
         for i in range(1, j + 1):
-            v = P.entry(i, j)
+            v = entry(P, i, j)
             if i == 1 and 1 < j:
                 row.append(v + 2 * k)
             elif 1 < i == j:
@@ -77,13 +82,13 @@ def slow_stats(P):
     entries of P; the tables are dicts over the cells (i, j)."""
     r = P.r
     cells = [(i, j) for j in range(1, r + 1) for i in range(1, j + 1)]
-    d = {(i, j): P.entry(i, j + 1) - P.entry(i, j) for (i, j) in cells}
-    dp = {(i, j): P.entry(i, j) - P.entry(i + 1, j + 1) for (i, j) in cells}
-    sums = [sum(P.entry(i, j) for i in range(1, j + 1))
+    d = {(i, j): entry(P, i, j + 1) - entry(P, i, j) for (i, j) in cells}
+    dp = {(i, j): entry(P, i, j) - entry(P, i + 1, j + 1) for (i, j) in cells}
+    sums = [sum(entry(P, i, j) for i in range(1, j + 1))
             for j in range(1, r + 2)]
     wt = FiniteWeight(r, [sums[0]] + [sums[j] - sums[j - 1]
                                       for j in range(1, r + 1)])
-    lam = FiniteWeight(r, [P.entry(i, r + 1) for i in range(1, r + 2)])
+    lam = FiniteWeight(r, [entry(P, i, r + 1) for i in range(1, r + 2)])
     return {
         "wt": wt, "d": d, "dprime": dp,
         "trap_depth": {(i, j): d[(i, j)] * sum(dp[(p, j)]

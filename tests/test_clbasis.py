@@ -214,12 +214,12 @@ def test_elimination_matches_sympy_rank(data):
 
 
 def test_weyl_span_small():
-    rep = weyl_span(zero_weight(1), 1)
+    rep = weyl_span(zero_weight(1))
     assert rep["status"] == "pass" and rep["witness"]["dims"] == [1, 4]
-    rep = weyl_span(2 * fundamental(1, 1), 1)
+    rep = weyl_span(2 * fundamental(1, 1))
     assert rep["status"] == "pass" and rep["witness"]["dims"][0] == 4
     with pytest.raises(ValueError):  # lambda's coordinates are its sequence
-        weyl_span(-theta(2), 1)
+        weyl_span(-theta(2))
 
 
 def test_stable_basis_search_is_bounded(monkeypatch):

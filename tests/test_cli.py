@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import importlib
@@ -17,8 +18,8 @@ import pytest
 from popfock import cli, clbasis, fock, gtpattern, pop, translate
 from popfock.cli import (UsageError, _KeyIndex, _bracket_terms, _scaled,
                          bracket_expected, main, parse_config, run)
-from popfock.rootdata import (all_roots, bilinear, simple_root, theta,
-                              zero_weight)
+from popfock.rootdata import (AffineWeight, all_roots, bilinear, simple_root,
+                              theta, zero_weight)
 import oracles
 from test_acceptance import C03_ARGV
 
@@ -331,6 +332,100 @@ def test_translate_catches_faults(monkeypatch, capsys):
                     for k, v in want.items()}
 
 
+def _vanishing(fn):
+    """fn with every term of the vector it returns dropped."""
+    def vanished(*args):
+        v = fn(*args)
+        return fock.FockVector(v.r, v.sector, {})
+    return vanished
+
+
+def _lowered(w):
+    """w one delta lower when its delta part is nonzero."""
+    return w - AffineWeight(zero_weight(w.finite.r), 0, 1) if w.delta else w
+
+
+def _affine_json(coords, delta):
+    return {"r": len(coords) - 1, "coords": coords, "level": 1,
+            "delta": [delta, 1]}
+
+
+_weight_of, _inverse = clbasis.weight_of, translate.translate_amount_inverse
+_rank_of, _colored_count = clbasis.rank_of, pop.colored_count
+WITNESS_FAULTS = {
+    "v_P vanishes": (clbasis, "cl_vector", _vanishing(clbasis.cl_vector)),
+    "word vanishes": (clbasis, "apply_word", _vanishing(clbasis.apply_word)),
+    "weight lowered": (clbasis, "weight_of",
+                       lambda v: _lowered(_weight_of(v))),
+    "pull-back off the origin": (
+        translate, "translate_amount_inverse",
+        lambda x, v: _inverse(x + simple_root(x.r, 1), v)),
+    "rank one short": (clbasis, "rank_of", lambda vs: _rank_of(vs) - 1),
+    "span empty": (clbasis, "in_span", lambda vs, v: False),
+    "count one high": (pop, "colored_count",
+                       lambda r, m: _colored_count(r, m) + 1),
+}
+
+
+@pytest.mark.parametrize("fault,argv,check,witness,sha256", [
+    ("v_P vanishes", "verify weights --r 1", "weight_law", "vector vanished",
+     "93c2caeb07813b9e0879ed10e4bb5317731ca5211afe949fe129e823b6d1f987"),
+    ("weight lowered", "verify weights --r 1", "weight_law",
+     {"got": _affine_json([-2, 0], -2), "want": _affine_json([-2, 0], -1)},
+     "bb37ad3b42c3e488bfefc0339a55b89d51a6c1f9cdd843341f89e108d9f5c018"),
+    ("pull-back off the origin", "verify mtp --r 1", "mtp",
+     {"reason": "support off the pure-mode subspace",
+      "key": "FockKey(FiniteWeight(1, [-2, 0]), [])"},
+     "9f5fc14e4049de39c2b3ea6808396e13f088820e74fce2807ebb24c4deac70ab"),
+    ("v_P vanishes", "verify mtp --r 1", "mtp", {"reason": "vector vanished"},
+     "692c2aa727b1af1520b457a8b40406d36c297061b14e7dc478cff007ced83b36"),
+    ("weight lowered", "verify mtp --r 1", "mtp",
+     {"reason": "weight", "got": _affine_json([0, 0], -2),
+      "want": _affine_json([0, 0], -1)},
+     "21dd59bc0f9f4274fe1fcf37a71bbac7dc3063e61f3d879082868fe2c0af6e6a"),
+    ("word vanishes", "verify collapse --r 1", "crucprop",
+     {"reason": "vector vanished"},
+     "8038002d0d99571db7ce6ffd2edd82ff962fa6c108a454e04cdfb87dfee51ab2"),
+    ("weight lowered", "verify collapse --r 1", "crucprop",
+     {"reason": "weight", "got": _affine_json([0, 0], -2),
+      "want": _affine_json([0, 0], -1)},
+     "4e95be1b71a31d1f56cd8013bb4e610874de9f15ad34a1542bf76a33ee9bb893"),
+    ("pull-back off the origin", "verify collapse --r 1", "crucprop",
+     {"reason": "support off the pure-mode subspace"},
+     "a95ad90fc6c21404db560096abaf6d4efab070bb8345c08f5820129eae6397a1"),
+    ("rank one short", "verify chain --r 1", "weyl_span",
+     {"reason": "dependent at level 0"},
+     "365dd078a1bde922c5e37ea6d1b219f1ee1c5c302e1ff45c9f8afa9d061ec0c8"),
+    ("span empty", "verify chain --r 1", "weyl_span",
+     {"reason": "chain inclusion fails at level 0",
+      "weight": _affine_json([0, 0], 0)},
+     "14ca2fb27cd7608975477aee919bafef989a14fd823dbefbfa5e345cb56c14c2"),
+    ("count one high", "verify basis --r 1", "stable_basis",
+     {"reason": "cardinality", "got": 1, "expected": 2, "k": 0},
+     "491b7f0eaea68dae20e03fbb17a0c361bf002e262075bae2820fde3fbd913bb6"),
+    ("rank one short", "verify basis --r 1", "stable_basis",
+     {"reason": "not independent"},
+     "bebcd2061ded847094026cb53a42510540436e2e9247f4866de1b50b0706a612"),
+    ("weight lowered", "verify basis --r 1", "stable_basis",
+     {"reason": "weight", "got": _affine_json([0, 0], -2)},
+     "98d1c83bd3775b461c97f7876de605fb12410e2eb24f5063df5888abff740e8c"),
+])
+def test_verification_witnesses_catch_faults(monkeypatch, fault, argv, check,
+                                             witness, sha256):
+    # the first failing report names the fault; a report that wraps the
+    # failing instance's report is unwrapped to it, and the whole stream is
+    # pinned
+    monkeypatch.setattr(*WITNESS_FAULTS[fault])
+    status, lines = run(parse_config(argv.split()))
+    rep = next(rep for rep in map(json.loads, lines)
+               if rep["status"] == "fail" and "witness" in rep)
+    while isinstance(rep["witness"], dict) and "check" in rep["witness"]:
+        rep = rep["witness"]
+    assert status == 1 and (rep["check"], rep["witness"]) == (check, witness)
+    stream = "".join(line + "\n" for line in lines).encode()
+    assert hashlib.sha256(stream).hexdigest() == sha256
+
+
 def test_basis_bound_violation_is_a_failed_report(monkeypatch, capsys):
     # unshifted POP sets break the diagonal bound d_{l,l} >= k
     monkeypatch.setattr(pop, "theta", zero_weight)
@@ -552,6 +647,33 @@ def test_benchmark_layer_names_resolve():
         assert len(path) <= 2 and not any(p.startswith("_") for p in path)
         assert isinstance(fn, FunctionType), name
         assert owner.__module__ == mod.__name__, name
+
+
+def test_public_functions_have_a_caller_in_src():
+    # helpers that only the tests use live under tests/; a per-layer name of
+    # BENCHMARK.json is timed by bench/child.py, which counts as a use
+    layers = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    benched = {m["name"].rsplit(".", 1)[0] for m in layers}
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "popfock").glob("*.py"))
+             if path.name != "__init__.py"}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                members = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                members = [(node.name + "." + fn.name, fn) for fn in node.body
+                           if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            unused += [module + "." + name for name, fn in members
+                       if not fn.name.startswith("_") and fn.name not in used
+                       and module + "." + name not in benched]
+    assert unused == []
 
 
 def test_identities_holds_one_pop_at_a_time(monkeypatch):
