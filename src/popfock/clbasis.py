@@ -67,12 +67,14 @@ def rho(P, k=0, s=1):
     r = P.r
     if not 1 <= s <= r + 1:
         raise ValueError("restriction index out of range")
+    st = P.pattern.tables()
     word = OperatorWord()
     for p in range(s, r + 1):
         for j in range(p, r + 1):
-            d = P.d(p, j) + (k if p == j else 0)
-            dp = P.dprime(p, j) + (k if p == 1 else 0)
-            word = word * cl_monomial(pos_root(r, p, j), d, dp, P.overlay[(p, j)])
+            at = st.index(p, j)
+            d = st.d[at] + (k if p == j else 0)
+            dp = st.dprime[at] + (k if p == 1 else 0)
+            word = word * cl_monomial(pos_root(r, p, j), d, dp, P.parts[at])
     return word
 
 

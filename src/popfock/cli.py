@@ -214,6 +214,11 @@ def suite_identities(cfg):
     r = cfg.r
     seqs = [cfg.lam] if cfg.lam else sorted(
         seq for total in range(5) for seq in dominant_seqs(r, total))
+    area_identity, depth = pop.area_identity, pop.depth
+    overlay_set, overlay_slice = (pop.overlay_invariant_set,
+                                  pop.overlay_invariant_slice)
+    # the cells (s, j), s <= j <= r, of each step from P_{s+1} to P_s
+    steps = [(s, [(s, j) for j in range(s, r + 1)]) for s in range(1, r + 1)]
     for seq in seqs:
         n_checked = 0
         ok = True
@@ -221,26 +226,24 @@ def suite_identities(cfg):
         pattern, pattern_bad = None, set()
         for P in iter_pops(seq):
             n_checked += 1
-            good, diag = pop.area_identity(P)
+            good, diag = area_identity(P)
             if not good:
                 ok, witness = False, {"pop": P.to_json(), "diag": str(diag)}
                 break
             if P.pattern is not pattern:
                 pattern = P.pattern
                 pattern_bad = _pattern_recursion_failures(pattern, r)
-            dd = pop.depth(P)
-            ov = {s: pop.overlay_invariant_set(P, s) for s in range(1, r + 2)}
-            for s in range(1, r + 1):
-                lhs = dd["restricted"][s]
-                rhs = dd["restricted"][s + 1] + sum(
-                    dd["table"][(s, j)] for j in range(s, r + 1))
-                if lhs != rhs:
+            dd = depth(P)
+            table, rest = dd["table"], dd["restricted"]
+            ov = [None] + [overlay_set(P, s) for s in range(1, r + 2)]
+            for s, row in steps:
+                if rest[s] != rest[s + 1] + sum(map(table.__getitem__, row)):
                     ok, witness = False, {"pop": P.to_json(), "s": s,
                                           "reason": "depth recursion"}
                     break
                 merged = dict(ov[s + 1])
-                for j in range(s, r + 1):
-                    merged.update(pop.overlay_invariant_slice(P, s, j))
+                for cell in row:
+                    merged.update(overlay_slice(P, *cell))
                 if s in pattern_bad or ov[s] != merged:
                     ok, witness = False, {"pop": P.to_json(), "s": s,
                                           "reason": "invariant recursion"}

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 
-from .rootdata import FiniteWeight, bilinear
+from .rootdata import FiniteWeight
 
 
 class GTPattern:
@@ -113,12 +114,14 @@ def stats(P):
         tri += sum(x * y for x, y in zip(dj, dpj))
         trap += sum(dj[i] * sum(dpj[i:]) for i in range(j))
     sums = [sum(row) for row in rows]
-    wt = FiniteWeight(P.r, [sums[0]] + [sums[j] - sums[j - 1]
-                                        for j in range(1, P.r + 1)])
-    lam = FiniteWeight(P.r, rows[-1])
+    wt = [sums[0]] + [sums[j] - sums[j - 1] for j in range(1, P.r + 1)]
+    # (x|x) = sum x_i^2 - (sum x)^2 / (r+1), and wt sums to sum(lambda), so
+    # the (sum x)^2 terms cancel in (lambda|lambda) - (wt|wt)
+    half_diff = Fraction(sum(x * x for x in rows[-1]) - sum(x * x for x in wt),
+                         2)
     return PatternStats(
-        _cells(P.r), wt, tuple(d), tuple(dp), tuple(trap_depth), tri, trap,
-        (bilinear(lam, lam) - bilinear(wt, wt)) / 2)
+        _cells(P.r), FiniteWeight(P.r, wt), tuple(d), tuple(dp),
+        tuple(trap_depth), tri, trap, half_diff)
 
 
 def _checked_bounding_seq(lamseq):

@@ -3,6 +3,7 @@ enumeration, and the area identity."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, product
 
 from . import gtpattern
@@ -14,18 +15,19 @@ from .rootdata import theta
 class POP:
     """A GT pattern together with a partition in each (i,j) rectangle.
 
-    Overlay keys (i,j) for 1 <= i <= j <= r are always present, even when the
-    rectangle is degenerate (the partition is then forced empty), in the
-    cell order of the pattern's tables.
+    The partitions are one tuple, `parts`, in the cell order of the
+    pattern's tables (PatternStats.cells), 1 <= i <= j <= r by (j, i); a
+    rectangle given no partition, degenerate or not, holds the empty one.
+    `overlay` is the same data as a mapping (i, j) -> partition, built on
+    each read.
     """
 
-    __slots__ = ("pattern", "overlay", "r", "_size")
+    __slots__ = ("pattern", "parts", "r", "_size")
 
     def __init__(self, pattern, overlay=None):
         overlay = overlay or {}
         st = pattern.tables()
-        full = {}
-        size = 0
+        parts, size = [], 0
         for cell, d, dp in zip(st.cells, st.d, st.dprime):
             pi = overlay.get(cell)
             if pi is None:
@@ -34,26 +36,42 @@ class POP:
                 raise ValueError(
                     "overlay partition at (i=%d, j=%d) does not fit rectangle (%d, %d)"
                     % (cell + (d, dp)))
-            full[cell] = pi
+            parts.append(pi)
             size += pi.size()
-        unknown = [cell for cell in overlay if cell not in full]
+        unknown = set(overlay).difference(st.cells)
         if unknown:
             raise ValueError("overlay keys out of range: %r" % (sorted(unknown),))
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "overlay", full)
-        object.__setattr__(self, "r", pattern.r)
-        object.__setattr__(self, "_size", size)
+        self._fill(pattern, tuple(parts), size)
+
+    @classmethod
+    def _fitted(cls, pattern, parts, size):
+        """The POP of `parts`, a tuple in cell order whose partitions are
+        already known to fit their rectangles and to have sizes summing to
+        `size`."""
+        P = object.__new__(cls)
+        P._fill(pattern, parts, size)
+        return P
+
+    def _fill(self, pattern, parts, size):
+        fill = object.__setattr__
+        fill(self, "pattern", pattern)
+        fill(self, "parts", parts)
+        fill(self, "r", pattern.r)
+        fill(self, "_size", size)
 
     def __setattr__(self, name, value):
         raise AttributeError("POP is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, POP) and self.pattern == other.pattern
-                and self.overlay == other.overlay)
+                and self.parts == other.parts)
 
     def __hash__(self):
-        return hash((self.pattern, tuple(sorted(self.overlay.items(),
-                                                key=lambda kv: kv[0]))))
+        return hash((self.pattern, self.parts))
+
+    @property
+    def overlay(self):
+        return dict(zip(self.pattern.tables().cells, self.parts))
 
     def __repr__(self):
         ov = {k: list(v.parts) for k, v in sorted(self.overlay.items())}
@@ -94,15 +112,16 @@ class POP:
 def depth(P):
     """Per-cell depths d^j_i = d_{i,j} * sum_{p=i+1}^{j} d'_{p,j} + |pi(j)^i|
     and restricted depths d(P_s), 1 <= s <= r+1; d(P) is depth_total(P)."""
-    table = {cell: trap + pi.size() for (cell, pi), trap
-             in zip(P.overlay.items(), P.pattern.tables().trap_depth)}
-    rest = [0] * (P.r + 2)  # rest[s] = d(P_s), summed from s = r + 1 down
+    st = P.pattern.tables()
+    table = {cell: trap + pi.size() for cell, trap, pi
+             in zip(st.cells, st.trap_depth, P.parts)}
+    row = [0] * (P.r + 1)  # row[i] = sum over j of d^j_i
     for (i, _), v in table.items():
-        rest[i] += v
+        row[i] += v
+    rest = {P.r + 1: 0}  # rest[s] = d(P_s), summed from s = r + 1 down
     for s in range(P.r, 0, -1):
-        rest[s] += rest[s + 1]
-    return {"table": table,
-            "restricted": dict(zip(range(1, P.r + 2), rest[1:]))}
+        rest[s] = rest[s + 1] + row[s]
+    return {"table": table, "restricted": rest}
 
 
 def depth_total(P):
@@ -128,22 +147,26 @@ def pattern_invariant_set(pattern, s):
     {"d": {(i,j): d_{i,j}: s <= i < j}, "dprime": {(i,j): d'_{i,j}: s < i}}."""
     if not 1 <= s <= pattern.r + 1:
         raise ValueError("restriction index out of range")
-    st = pattern.tables()
-    d, dp = {}, {}
-    for cell, dk, dpk in zip(st.cells, st.d, st.dprime):
-        i, j = cell
-        if s <= i < j:
-            d[cell] = dk
-        if i > s:
-            dp[cell] = dpk
-    return {"d": d, "dprime": dp}
+    st, tails = pattern.tables(), _tails(pattern.r)
+    return {"d": {c: st.d[k] for k, c in tails[s] if c[0] < c[1]},
+            "dprime": {c: st.dprime[k] for k, c in tails[s + 1]}}
 
 
 def overlay_invariant_set(P, s):
     """The overlay half of I(P_s): the partitions pi(j)^i with s <= i."""
     if not 1 <= s <= P.r + 1:
         raise ValueError("restriction index out of range")
-    return {cell: pi for cell, pi in P.overlay.items() if cell[0] >= s}
+    parts = P.parts
+    return {cell: parts[k] for k, cell in _tails(P.r)[s]}
+
+
+@lru_cache(maxsize=8)
+def _tails(r):
+    """For each s in 1..r+2, the (position, cell) pairs of the cells (i, j)
+    with i >= s, in cell order."""
+    cells = tuple(enumerate(gtpattern._cells(r)))
+    return {s: tuple(kc for kc in cells if kc[1][0] >= s)
+            for s in range(1, r + 3)}
 
 
 def invariant_set(P, s):
@@ -176,7 +199,8 @@ def overlay_invariant_slice(P, s, j):
     """The overlay half of I^j_s: {pi(j)^s}."""
     if not 1 <= s <= j <= P.r:
         raise ValueError("slice indices out of range")
-    return {(s, j): P.overlay[(s, j)]}
+    # the position of (s, j) in the cell order, PatternStats.index(s, j)
+    return {(s, j): P.parts[j * (j - 1) // 2 + s - 1]}
 
 
 def is_stable(P):
@@ -194,7 +218,8 @@ def iter_pops(lamseq, weight=None, depth_filter=None):
     weight fixes every row sum of the pattern, so it prunes the pattern
     enumeration.  A depth filter lists each rectangle's partitions only up to
     that size, by size first, and prunes each pattern's overlays by the size
-    left to spend.
+    left to spend.  Each rectangle's partitions are listed and checked to fit
+    once per call, so the POPs are built without a further check.
     """
     lamseq = gtpattern._checked_bounding_seq(lamseq)
     row_sums = None
@@ -211,25 +236,29 @@ def iter_pops(lamseq, weight=None, depth_filter=None):
             continue
         if depth_filter is not None:
             want = depth_filter - sum(st.trap_depth)
-            if want < 0 or want > st.trap_area:
+            if want < 0 or want > st.tri_area:
                 continue
         choices = []
         for rect in zip(st.d, st.dprime):
             opts = rects.get(rect)
             if opts is None:
                 opts = rects[rect] = enumerate_rect(*rect, depth_filter)
+                if not all(fits_rectangle(pi, *rect) for pi in opts):
+                    raise ValueError("enumerate_rect%r lists a partition "
+                                     "that does not fit" % (rect,))
             choices.append(opts)
-        cells = st.cells
         if depth_filter is None:
-            for overlay in product(*choices):
-                yield POP(pattern, dict(zip(cells, overlay)))
+            sizes = [[pi.size() for pi in opts] for opts in choices]
+            for parts, size in zip(product(*choices),
+                                   map(sum, product(*sizes))):
+                yield POP._fitted(pattern, parts, size)
             continue
         found = []
 
         def rec(idx, remaining, acc):
-            if idx == len(cells):
+            if idx == len(choices):
                 if remaining == 0:
-                    found.append(POP(pattern, dict(zip(cells, acc))))
+                    found.append(POP._fitted(pattern, tuple(acc), want))
                 return
             for pi in choices[idx]:
                 if pi.size() > remaining:

@@ -561,8 +561,15 @@ def test_bracket_sweep_rejects_a_foreign_denominator():
      24),
     ("verify identities --r 2 --lambda 2,1,0", pop, "overlay_invariant_set",
      27),
+    # and per POP the area identity, the depth table and the slices I^j_s,
+    # 1 <= s <= j <= 2
+    ("verify identities --r 2 --lambda 2,1,0", pop, "area_identity", 9),
+    ("verify identities --r 2 --lambda 2,1,0", pop, "depth", 9),
+    ("verify identities --r 2 --lambda 2,1,0", pop, "overlay_invariant_slice",
+     27),
 ], ids=["weights", "mtp", "collapse", "translate", "identities-patterns",
-        "identities-invariant-sets", "identities-overlay-sets"])
+        "identities-invariant-sets", "identities-overlay-sets",
+        "identities-area", "identities-depth", "identities-overlay-slices"])
 def test_suite_computes_each_value_once(monkeypatch, argv, module, name, n):
     calls = Counter()
     compute = getattr(module, name)

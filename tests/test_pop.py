@@ -3,10 +3,11 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from popfock import pop
 from popfock.gtpattern import GTPattern, enumerate_patterns
 from popfock.partitions import Partition, colored_count, enumerate_rect
 from popfock.pop import (POP, depth, depth_total, enumerate_pops,
-                         invariant_set, is_stable,
+                         invariant_set, is_stable, iter_pops,
                          overlay_invariant_set, overlay_invariant_slice,
                          pattern_invariant_set, pattern_invariant_slice,
                          shift_bijection_check)
@@ -126,6 +127,36 @@ def test_iter_pops_yields_each_pattern_in_one_run(data):
                 enumerate_pops(lam, depth_filter=depth_filter)):
         runs = [pattern for pattern, _ in groupby(P.pattern for P in got)]
         assert len(runs) == len(set(runs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_iter_pops_builds_what_the_checked_constructor_builds(data):
+    # iter_pops builds its POPs from partitions it checked once per
+    # rectangle; POP(pattern, overlay) checks every partition again
+    lam = _draw_lambda(data)
+    r = len(lam) - 1
+    mu = data.draw(st.sampled_from([P.weight() for P in iter_pops(lam)]))
+    filters = ({}, {"weight": mu},
+               {"depth_filter": data.draw(st.integers(0, 3))})
+    for kw in filters:
+        for P in iter_pops(lam, **kw):
+            Q = POP(P.pattern, P.overlay)
+            assert Q == P and hash(Q) == hash(P)
+            assert Q.to_json() == P.to_json()
+            assert Q.overlay_size() == P.overlay_size()
+            assert len(P.overlay) == r * (r + 1) // 2
+
+
+def test_iter_pops_checks_each_rectangle(monkeypatch):
+    # a partition that does not fit its rectangle is refused where the
+    # rectangle's partitions are first listed
+    listed = enumerate_rect
+    monkeypatch.setattr(pop, "enumerate_rect", lambda d, dprime, max_size:
+                        listed(d, dprime, max_size) + [Partition((dprime + 1,))])
+    for kw in ({}, {"depth_filter": 1}):
+        with pytest.raises(ValueError, match="does not fit"):
+            next(iter_pops((2, 1, 0), **kw))
 
 
 @settings(max_examples=40, deadline=None)
